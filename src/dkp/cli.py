@@ -11,10 +11,6 @@ Exit status: 0 when every check passed (or the command has nothing to check),
 1 when a verification or tolerance failed, 2 for configuration errors —
 including the dedicated non-coprime torus error — and argparse's own usage
 errors.
-
-``DKP_THREADS`` caps how many suite runners may execute concurrently; the
-report assembly is single-threaded and ordered, so the output does not
-depend on it.
 """
 
 from __future__ import annotations
@@ -22,9 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -53,16 +47,6 @@ from .poisson import (
 SUITES = ("jacobi", "closure", "ladder", "involution", "compat", "casimir", "qlink")
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("DKP_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated invocation: torus, command, seed, and per-command knobs."""
@@ -82,7 +66,6 @@ class RunConfig:
     pairings: bool = False
     sum_zero: bool = False
     drift_tolerance: float = 1e-6
-    threads: int = 1
 
     def __post_init__(self):
         if self.command not in ("curve", "check", "flow", "pipes"):
@@ -106,8 +89,6 @@ class RunConfig:
             raise ValueError(f"--record-every must be a positive step count, got {self.record_every}")
         if self.drift_tolerance <= 0:
             raise ValueError(f"drift tolerance must be positive, got {self.drift_tolerance}")
-        if self.threads < 1:
-            raise ValueError(f"thread cap must be at least 1, got {self.threads}")
 
 
 # --------------------------------------------------------------------------
@@ -205,13 +186,7 @@ def _normalize_check(name: str, report: dict) -> dict:
 
 
 def _cmd_check(cfg: RunConfig) -> tuple[dict, bool, str]:
-    jobs = _check_jobs(cfg)
-    if cfg.threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=min(cfg.threads, len(jobs))) as pool:
-            raw = list(pool.map(lambda job: job[1](), jobs))
-    else:
-        raw = [fn() for _, fn in jobs]
-    checks = [_normalize_check(name, r) for (name, _), r in zip(jobs, raw)]
+    checks = [_normalize_check(name, fn()) for name, fn in _check_jobs(cfg)]
     failures = [
         {"check": c["name"], "detail": f} for c in checks for f in c["failures"]
     ]
@@ -389,7 +364,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         pairings=getattr(args, "pairings", False),
         sum_zero=getattr(args, "sum_zero", False),
         drift_tolerance=getattr(args, "drift_tolerance", 1e-6),
-        threads=_threads_from_env(),
     )
 
 

@@ -303,59 +303,6 @@ def w_matrix(N: int, M: int) -> Matrix:
     return mat
 
 
-class SpectralMatrixW:
-    """Sparse view of the NM x NM spectral matrix, addressed by (site, layer) pairs.
-
-    entry((n, m), (k, l)) is the coefficient coupling wave-function component
-    (site n, layer m) to (site k, layer l); indices are 0-based and periodic.
-    """
-
-    __slots__ = ("N", "M", "entries")
-
-    def __init__(self, N: int, M: int, entries: dict[tuple[tuple[int, int], tuple[int, int]], ExactPoly]):
-        self.N = N
-        self.M = M
-        self.entries = entries
-
-    def entry(self, n: int, m: int, k: int, l: int) -> ExactPoly:
-        key = ((n % self.N, m % self.M), (k % self.N, l % self.M))
-        return self.entries.get(key, ExactPoly.zero())
-
-    def dense(self) -> Matrix:
-        size = self.N * self.M
-        mat: Matrix = [[ExactPoly.zero()] * size for _ in range(size)]
-        for ((n, m), (k, l)), p in self.entries.items():
-            mat[m * self.N + n][l * self.N + k] = p
-        return mat
-
-
-def build_W(
-    N: int, M: int, assignment: Mapping[Gen, object] | None = None
-) -> SpectralMatrixW:
-    """The spectral matrix as a sparse (site, layer)-addressed object.
-
-    With an assignment, generators are substituted (exact scalars or polys).
-    """
-    dense = w_matrix(N, M)
-    entries: dict[tuple[tuple[int, int], tuple[int, int]], ExactPoly] = {}
-    for row in range(N * M):
-        for col in range(N * M):
-            p = dense[row][col]
-            if assignment and p:
-                p = p.substitute(assignment)
-            if p:
-                entries[((row % N, row // N), (col % N, col // N))] = p
-    return SpectralMatrixW(N, M, entries)
-
-
-def build_C_alpha(N: int, M: int, band: LevelData | None = None) -> Matrix:
-    """Alpha-wrapped N x N matrix; defaults to the abstract level-1 band variables."""
-    _require_torus(N, M)
-    if band is None:
-        band = abstract_level(N, M, 1)
-    return c_alpha(N, M, band)
-
-
 def jacobian_rank_special(N: int, M: int, j: int) -> dict:
     """Rank report for the elimination differential at the dominance point."""
     rank, dim = dominance_rank(N, M, j)

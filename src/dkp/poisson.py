@@ -14,6 +14,15 @@ orientation is pinned by the classical single-layer limit {A(n), B(n)}_1
 implementation negates it (BRACKET1_SIGN below); the identity suite keeps
 both orientations visible in its reports.
 
+A table extends to polynomials (``bracket_extend``) in gradient form,
+{f, g} = sum_a df/dx_a * sum_b dg/dx_b * {x_a, x_b}, on packed monomials:
+each table numbers its generators (the universe, then alpha and beta), and
+a monomial is one int in which exponent e of generator i contributes
+e << (i * 32), a signed 32-bit field.  A monomial product is then one int
+addition.  Exponents must stay below 2**29 in magnitude (OverflowError
+otherwise, never a wrapped result), and a generator outside the table
+raises ValueError.
+
 All verification routines return plain-dict reports listing every failing
 tuple; an empty failure list means the identity holds exactly.
 """
@@ -22,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
+import sys
 from typing import Callable, Iterable, Mapping, Sequence
 
 from dkp.curve import SpectralCurve, compute_curve
@@ -38,6 +47,7 @@ from dkp.symalg import (
     BETA,
     ExactPoly,
     Gen,
+    Scalar,
     gen_A,
     gen_B,
     gen_c,
@@ -50,6 +60,12 @@ from dkp.torus import build_kappa, build_phi, build_rho, build_zeta
 # fixed so the single-layer limit reproduces {A(n), B(n)}_1 = -B(n).
 BRACKET1_SIGN = -1
 
+# Packed monomials (see bracket_extend): one signed field per generator.
+_FIELD = 32
+_HALF = 1 << (_FIELD - 1)
+# Three exponents add up in one bracket term, so each stays below 2**29.
+_EXP_LIMIT = 1 << (_FIELD - 3)
+
 
 def _require_torus(N: int, M: int) -> None:
     if N < 1 or M < 1 or math.gcd(N, M) != 1:
@@ -60,7 +76,13 @@ def _require_torus(N: int, M: int) -> None:
 
 
 class BracketTable:
-    """Antisymmetric generator-pair table with Leibniz extension support."""
+    """Antisymmetric generator-pair table with Leibniz extension support.
+
+    For the packed bracket the table numbers its generators: the universe
+    in its given order, then ``alpha`` and ``beta``, which bracket to zero
+    with everything.  Entries are cached once as ``ExactPoly`` (by
+    :meth:`entry`) and once in packed form (by :func:`bracket_extend`).
+    """
 
     def __init__(
         self,
@@ -74,15 +96,21 @@ class BracketTable:
         self.N = N
         self.M = M
         self.universe = tuple(universe)
-        self._uset = set(universe)
         self._cache: dict[tuple[Gen, Gen], ExactPoly] = {}
         self._entry_fn = entry_fn
+        gens = self.universe + (ALPHA, BETA)
+        self._index = {g: i for i, g in enumerate(self.universe)}
+        self._unit = {g: 1 << (i * _FIELD) for i, g in enumerate(gens)}
+        self._gens = gens
+        self._order = sorted(range(len(gens)), key=gens.__getitem__)
+        self._bias = sum(_HALF * u for u in self._unit.values())
+        self._rows: dict[int, dict[int, dict[int, Scalar]]] = {}
 
     def entry(self, g1: Gen, g2: Gen) -> ExactPoly:
         if g1 in (ALPHA, BETA) or g2 in (ALPHA, BETA):
             return ExactPoly.zero()
         for g in (g1, g2):
-            if g not in self._uset:
+            if g not in self._index:
                 raise ValueError(f"generator {g} outside the {self.kind} universe")
         key = (g1, g2)
         cached = self._cache.get(key)
@@ -92,50 +120,99 @@ class BracketTable:
             self._cache[(g2, g1)] = -cached
         return cached
 
+    # packed monomials
 
-def _mono_remove(mono: tuple, gen: Gen) -> tuple:
-    out = []
-    for g, e in mono:
-        if g == gen:
-            if e != 1:
-                out.append((g, e - 1))
-        else:
-            out.append((g, e))
-    return tuple(out)
+    def _key(self, mono: tuple) -> int:
+        """Pack a sorted-tuple monomial into one int."""
+        key = 0
+        for gen, e in mono:
+            unit = self._unit.get(gen)
+            if unit is None:
+                raise ValueError(f"generator {gen} outside the {self.kind} universe")
+            if not -_EXP_LIMIT < e < _EXP_LIMIT:
+                raise OverflowError(
+                    f"exponent {e} of {gen} does not fit the {_FIELD}-bit packed field"
+                )
+            key += e * unit
+        return key
+
+    def _mono(self, key: int) -> tuple:
+        """Unpack a packed monomial into a sorted tuple of (generator, exponent)."""
+        # The bias lifts every signed field to an unsigned 32-bit word.
+        raw =(key + self._bias).to_bytes(4 * len(self._gens), sys.byteorder)
+        words = memoryview(raw).cast("I")
+        return tuple(
+            (self._gens[i], words[i] - _HALF) for i in self._order if words[i] != _HALF
+        )
+
+    def _gradient(self, p: ExactPoly) -> dict[int, dict[int, Scalar]]:
+        """Packed dp/dx_a for every universe generator x_a that p contains."""
+        unit, index = self._unit, self._index
+        grad: dict[int, dict[int, Scalar]] = {}
+        for mono, q in p.terms.items():
+            key = self._key(mono)
+            for gen, e in mono:
+                a = index.get(gen)
+                if a is not None:
+                    # distinct monomials stay distinct after the same derivative
+                    grad.setdefault(a, {})[key - unit[gen]] = q * e
+        return grad
+
+    def _pack(self, p: ExactPoly) -> dict[int, Scalar]:
+        return {self._key(mono): q for mono, q in p.terms.items()}
+
+
+def _mul_into(acc: dict[int, Scalar], p: dict[int, Scalar], q: dict[int, Scalar]) -> None:
+    """acc += p * q on packed polynomials (zero coefficients may remain)."""
+    get = acc.get
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
 
 
 def bracket_extend(table: BracketTable, f: ExactPoly, g: ExactPoly) -> ExactPoly:
-    """Bilinear + Leibniz extension of a generator table to polynomials."""
-    acc: dict[tuple, Fraction | int] = {}
-    fterms = list(f.terms.items())
-    gterms = list(g.terms.items())
-    for mono1, coef1 in fterms:
-        for gen1, e1 in mono1:
-            rest1 = _mono_remove(mono1, gen1)
-            for mono2, coef2 in gterms:
-                for gen2, e2 in mono2:
-                    br = table.entry(gen1, gen2)
-                    if not br:
-                        continue
-                    rest2 = _mono_remove(mono2, gen2)
-                    scale = coef1 * coef2 * e1 * e2
-                    prefix = ExactPoly({_merge_mono(rest1, rest2): scale})
-                    for mono3, coef3 in (prefix * br).terms.items():
-                        cur = acc.get(mono3, 0) + coef3
-                        if cur:
-                            acc[mono3] = cur
-                        else:
-                            acc.pop(mono3, None)
-    return ExactPoly(acc)
+    """Bilinear + Leibniz extension of a generator table to polynomials.
 
+    Computed in gradient form, {f, g} = sum_a df/dx_a * sum_b dg/dx_b *
+    {x_a, x_b}, with a and b over the table's universe (alpha and beta are
+    passive: they bracket to zero).  Inside, a monomial is one int: exponent
+    e of generator i contributes e << (i * 32), a signed 32-bit field, so a
+    monomial product is an int addition and alpha**-1 packs like any other
+    factor.  Only the result is unpacked into a sorted-tuple ``ExactPoly``.
 
-def _merge_mono(m1: tuple, m2: tuple) -> tuple:
-    out: dict[Gen, int] = {}
-    for g, e in m1:
-        out[g] = out.get(g, 0) + e
-    for g, e in m2:
-        out[g] = out.get(g, 0) + e
-    return tuple(sorted(out.items()))
+    Raises ``ValueError`` for a generator outside the table and
+    ``OverflowError`` for an exponent of magnitude 2**29 or more in f, g or
+    a table entry (three such exponents add up in one result monomial, and
+    the sum must stay inside the field).
+    """
+    ft, gt = f.terms, g.terms
+    if not ft or not gt:
+        return ExactPoly()
+    if len(ft) == 1 and len(gt) == 1:
+        # One generator against one generator: the scaled table entry.
+        ((mf, cf),) = ft.items()
+        ((mg, cg),) = gt.items()
+        if len(mf) == 1 and len(mg) == 1 and mf[0][1] == 1 and mg[0][1] == 1:
+            br = table.entry(mf[0][0], mg[0][0])
+            return br if cf * cg == 1 else br * (cf * cg)
+    df = table._gradient(f)
+    dg = table._gradient(g) if df else {}
+    acc: dict[int, Scalar] = {}
+    for a, dfa in df.items():
+        # {x_a, x_b} is packed once per table, from the entry cache.
+        row = table._rows.setdefault(a, {})
+        inner: dict[int, Scalar] = {}
+        for b, dgb in dg.items():
+            entry = row.get(b)
+            if entry is None:
+                entry = row[b] = table._pack(table.entry(table.universe[a], table.universe[b]))
+            if entry:
+                _mul_into(inner, dgb, entry)
+        inner = {k: q for k, q in inner.items() if q}
+        if inner:
+            _mul_into(acc, dfa, inner)
+    return ExactPoly({table._mono(k): q for k, q in acc.items() if q})
 
 
 def jacobi_defect(table: BracketTable, g1: ExactPoly, g2: ExactPoly, g3: ExactPoly) -> ExactPoly:

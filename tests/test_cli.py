@@ -55,7 +55,6 @@ class TestRunConfig:
             {"T": -1.0},
             {"record_every": 0},
             {"drift_tolerance": 0.0},
-            {"threads": 0},
         ],
     )
     def test_bad_numeric_knobs(self, kwargs):
@@ -264,16 +263,6 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
         assert first.endswith("\n")
-
-    def test_thread_cap_does_not_change_bytes(self, capsys, monkeypatch):
-        argv = ["check", "--N", "3", "--M", "2", "--suite", "casimir"]
-        monkeypatch.delenv("DKP_THREADS", raising=False)
-        main(argv)
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("DKP_THREADS", "3")
-        main(argv)
-        threaded = capsys.readouterr().out
-        assert serial == threaded
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         main(["curve", "--N", "3", "--M", "1"])

@@ -1,6 +1,8 @@
 """Bracket tables, Leibniz extension, closure, and the identity battery."""
 
 import itertools
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,7 @@ from dkp.poisson import (
     verify_involution,
     verify_ladder,
 )
-from dkp.symalg import ExactPoly, gen_A, gen_B, gen_c, poly_sum
+from dkp.symalg import ALPHA, BETA, ExactPoly, gen_A, gen_B, gen_c, poly_sum
 
 TORI = [(3, 2), (5, 2), (4, 3)]
 
@@ -167,6 +169,84 @@ def test_extension_antisymmetry_and_leibniz(data):
     assert bracket_extend(t, f * g, h) == (
         f * bracket_extend(t, g, h) + g * bracket_extend(t, f, h)
     )
+
+
+# ------------------------------------------- packed kernel against definition
+
+TABLES = {"bracket2_AB": bracket2_AB, "bracket2_c": bracket2_c, "bracket1_c": bracket1_c}
+
+
+@lru_cache(maxsize=None)
+def _table(name, N, M):
+    return TABLES[name](N, M)
+
+
+def _bracket_by_definition(t, f, g):
+    """sum_{a,b} df/da * dg/db * {a, b}, with ExactPoly alone."""
+    return poly_sum(
+        f.partial(a) * g.partial(b) * t.entry(a, b)
+        for a in sorted(f.variables())
+        for b in sorted(g.variables())
+    )
+
+
+def _poly(data, t, tag):
+    """A few terms: Fraction coefficients, exponents up to 3, passive alpha/beta."""
+    coef = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    factor = st.tuples(st.sampled_from(t.universe), st.integers(min_value=1, max_value=3))
+    passive = st.sampled_from([(), ((ALPHA, -1),), ((BETA, 2),), ((ALPHA, -1), (BETA, 2))])
+    out = ExactPoly.zero()
+    for i in range(data.draw(st.integers(min_value=1, max_value=3), label=f"{tag} terms")):
+        term = ExactPoly.const(data.draw(coef, label=f"{tag}{i} coef"))
+        for gen, e in data.draw(st.lists(factor, min_size=1, max_size=3), label=f"{tag}{i}"):
+            term = term * ExactPoly.var(gen, e)
+        for gen, e in data.draw(passive, label=f"{tag}{i} passive"):
+            term = term * ExactPoly.var(gen, e)
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@pytest.mark.parametrize("N,M", [(3, 2), (2, 3), (4, 1)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_packed_bracket_matches_definition(name, N, M, data):
+    t = _table(name, N, M)
+    f, g = _poly(data, t, "f"), _poly(data, t, "g")
+    assert bracket_extend(t, f, g) == _bracket_by_definition(t, f, g)
+
+
+def test_one_generator_fast_path_scales_entry():
+    t = bracket2_AB(4, 1)
+    a, b = gen_A(0, 0), gen_B(0, 0)
+    got = bracket_extend(t, ExactPoly.var(a) * Fraction(2, 3), ExactPoly.var(b) * 3)
+    assert got == A(0) * B(0) * 2
+
+
+def test_largest_packed_exponent_is_exact():
+    # 2**29 - 1 on both sides: result exponents near 2**30 stay unwrapped.
+    t = bracket2_AB(3, 2)
+    e = 2**29 - 1
+    f = ExactPoly.var(gen_A(0, 0), e) * ExactPoly.var(ALPHA, -e)
+    g = ExactPoly.var(gen_B(0, 0), e) * ExactPoly.var(gen_A(1, 0))
+    assert bracket_extend(t, f, g) == _bracket_by_definition(t, f, g)
+
+
+@pytest.mark.parametrize("gen,exp", [(gen_A(0, 0), 2**31), (ALPHA, -(2**31)), (gen_B(1, 1), 2**29)])
+def test_exponent_outside_field_raises(gen, exp):
+    t = bracket2_AB(3, 2)
+    f = ExactPoly.var(gen, exp) * ExactPoly.var(gen_A(1, 0))
+    with pytest.raises(OverflowError):
+        bracket_extend(t, f, ExactPoly.var(gen_B(0, 0)))
+    with pytest.raises(OverflowError):
+        bracket_extend(t, ExactPoly.var(gen_B(0, 0)), f)
+
+
+def test_foreign_generator_rejected_in_polynomials():
+    t = bracket2_AB(3, 2)
+    foreign = ExactPoly.var(gen_c(1, 1, 0)) * ExactPoly.var(gen_A(0, 0))
+    with pytest.raises(ValueError):
+        bracket_extend(t, foreign, ExactPoly.var(gen_B(0, 0)))
 
 
 # --------------------------------------------------------- induced c-bracket
