@@ -14,9 +14,7 @@ Ledger tags:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Mapping
 
 from dkp.lattice import (
@@ -27,11 +25,7 @@ from dkp.lattice import (
     reduction_levels,
 )
 from dkp.symalg import ExactPoly, Gen, gen_c
-
-
-def _require_torus(N: int, M: int) -> None:
-    if N < 1 or M < 1 or math.gcd(N, M) != 1:
-        raise ValueError(f"torus dimensions must be coprime positive, got ({N}, {M})")
+from dkp.torus import _require_torus
 
 
 @dataclass(frozen=True)

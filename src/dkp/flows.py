@@ -12,7 +12,6 @@ relative drift reported.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -21,12 +20,7 @@ import numpy as np
 from dkp.curve import SpectralCurve, compute_curve
 from dkp.poisson import bracket2_AB, bracket_extend, first_flow_rhs_AB
 from dkp.symalg import ExactPoly, Gen, gen_A, gen_B
-from dkp.torus import build_kappa, build_rho
-
-
-def _require_torus(N: int, M: int) -> None:
-    if N < 1 or M < 1 or math.gcd(N, M) != 1:
-        raise ValueError(f"torus dimensions must be coprime positive, got ({N}, {M})")
+from dkp.torus import _require_torus, build_kappa, build_rho
 
 
 @dataclass

@@ -16,7 +16,6 @@ periodic; level indices j run 1..M as in the reduction recursion.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -30,13 +29,9 @@ from dkp.symalg import (
     gen_B,
     gen_c,
 )
+from dkp.torus import _require_torus
 
 Matrix = list[list[ExactPoly]]
-
-
-def _require_torus(N: int, M: int) -> None:
-    if N < 1 or M < 1 or math.gcd(N, M) != 1:
-        raise ValueError(f"torus dimensions must be coprime positive, got ({N}, {M})")
 
 
 class BandMatrix:

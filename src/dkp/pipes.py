@@ -44,16 +44,14 @@ from the monomial bijection, which concerns the nonconstant ledger entries.
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
-from .curve import SpectralCurve, compute_curve
-from .symalg import ExactPoly, Scalar, gen_A, gen_B, poly_A
-from .torus import build_kappa
+from .curve import compute_curve
+from .symalg import ExactPoly, Scalar, gen_B, poly_A
+from .torus import _require_torus, build_kappa
 
 Site = tuple[int, int]
 
@@ -78,13 +76,6 @@ __all__ = [
     "sum_zero_check",
     "verify_pairing_consistency",
 ]
-
-
-def _require_torus(N: int, M: int) -> None:
-    if N < 1 or M < 1:
-        raise ValueError(f"torus dimensions must be positive, got ({N}, {M})")
-    if math.gcd(N, M) != 1:
-        raise ValueError(f"torus dimensions must be coprime, got ({N}, {M})")
 
 
 def _ports_closed(
@@ -304,7 +295,7 @@ def pure_A_monomials(poly: ExactPoly) -> list[tuple[frozenset[Site], Scalar]]:
     return out
 
 
-def monomial_tpd_bijection(N: int, M: int, curve: SpectralCurve | None = None) -> dict:
+def monomial_tpd_bijection(N: int, M: int) -> dict:
     """Match the pure-A monomials of every conserved quantity with diagrams.
 
     For each degree d from 1 to NM the monomials of q_d surviving B = 0 are
@@ -315,10 +306,7 @@ def monomial_tpd_bijection(N: int, M: int, curve: SpectralCurve | None = None) -
     knee completion fails closure raises: it would break the bijection.
     """
     _require_torus(N, M)
-    if curve is None:
-        curve = compute_curve(N, M, mode="AB")
-    if curve.mode != "ab":
-        raise ValueError(f"bijection needs the AB-mode curve, got mode={curve.mode!r}")
+    curve = compute_curve(N, M, mode="AB")
     NM = N * M
     supports_by_degree: dict[int, list[frozenset[Site]]] = {d: [] for d in range(1, NM + 1)}
     coeffs_by_support: dict[frozenset[Site], Scalar] = {}

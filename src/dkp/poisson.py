@@ -23,6 +23,10 @@ addition.  Exponents must stay below 2**29 in magnitude (OverflowError
 otherwise, never a wrapped result), and a generator outside the table
 raises ValueError.
 
+Each bracket table (``bracket2_AB``, ``bracket2_c`` per level j,
+``bracket1_c``) is built once per (N, M, j) per process and shared by every
+suite, together with the entries and packed rows it has cached.
+
 All verification routines return plain-dict reports listing every failing
 tuple; an empty failure list means the identity holds exactly.
 """
@@ -30,18 +34,12 @@ tuple; an empty failure list means the identity holds exactly.
 from __future__ import annotations
 
 import itertools
-import math
 import sys
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import Callable, Sequence
 
 from dkp.curve import SpectralCurve, compute_curve
-from dkp.lattice import (
-    BandMatrix,
-    LevelData,
-    abstract_level,
-    level_halfwidth,
-    reduction_levels,
-)
+from dkp.lattice import BandMatrix, abstract_level, reduction_levels
 from dkp.symalg import (
     ALPHA,
     BETA,
@@ -54,7 +52,7 @@ from dkp.symalg import (
     gen_degree,
     poly_sum,
 )
-from dkp.torus import build_kappa, build_phi, build_rho, build_zeta
+from dkp.torus import _require_torus, build_kappa, build_phi, build_rho, build_zeta
 
 # Orientation of the first bracket relative to the literal trace formula;
 # fixed so the single-layer limit reproduces {A(n), B(n)}_1 = -B(n).
@@ -65,11 +63,6 @@ _FIELD = 32
 _HALF = 1 << (_FIELD - 1)
 # Three exponents add up in one bracket term, so each stays below 2**29.
 _EXP_LIMIT = 1 << (_FIELD - 3)
-
-
-def _require_torus(N: int, M: int) -> None:
-    if N < 1 or M < 1 or math.gcd(N, M) != 1:
-        raise ValueError(f"torus dimensions must be coprime positive, got ({N}, {M})")
 
 
 # --------------------------------------------------------------------- tables
@@ -233,6 +226,7 @@ def ab_generators(N: int, M: int) -> list[Gen]:
     return gens
 
 
+@lru_cache(maxsize=None)
 def bracket2_AB(N: int, M: int) -> BracketTable:
     """The quadratic sign-table bracket on the A, B generators."""
     _require_torus(N, M)
@@ -342,7 +336,8 @@ def induced_bracket_c(
     return out
 
 
-def bracket2_c(N: int, M: int, j: int = 1) -> BracketTable:
+@lru_cache(maxsize=None)
+def bracket2_c(N: int, M: int, j: int) -> BracketTable:
     """Closed-form induced bracket as a table over level-j c-generators."""
 
     def entry(g1: Gen, g2: Gen) -> ExactPoly:
@@ -364,6 +359,7 @@ def closure_verify(N: int, M: int, j: int = 1) -> dict:
         gen_c(j, i, k): p for (i, k), p in lev.items() if i > 0
     }
     table = bracket2_AB(N, M)
+    closed_form = bracket2_c(N, M, j)
     gens = c_generators(N, M, j)
     failures = []
     cases = 0
@@ -371,7 +367,7 @@ def closure_verify(N: int, M: int, j: int = 1) -> dict:
         for b in range(a, len(gens)):
             g1, g2 = gens[a], gens[b]
             cases += 1
-            closed = induced_bracket_c(N, M, j, (g1[2], g1[3]), (g2[2], g2[3]))
+            closed = closed_form.entry(g1, g2)
             direct = bracket_extend(table, expansion[g1], expansion[g2])
             if closed.substitute(expansion) != direct:
                 failures.append({"pair": [list(g1), list(g2)]})
@@ -416,6 +412,7 @@ def bracket1_c_pair(N: int, M: int, g1: tuple[int, int], g2: tuple[int, int]) ->
     return bracket1_c_literal(N, M, g1, g2) * BRACKET1_SIGN
 
 
+@lru_cache(maxsize=None)
 def bracket1_c(N: int, M: int) -> BracketTable:
     """First bracket on the level-1 band variables, classically oriented."""
 
@@ -428,14 +425,6 @@ def bracket1_c(N: int, M: int) -> BracketTable:
 # ------------------------------------------------------------ identity suites
 
 
-def _band_ledger(N: int, M: int, curve: SpectralCurve | None = None) -> SpectralCurve:
-    if curve is None:
-        curve = compute_curve(N, M, "band")
-    if curve.mode != "band":
-        raise ValueError("identity checks need the band-mode curve")
-    return curve
-
-
 def _cgen_polys(N: int, M: int) -> list[ExactPoly]:
     return [ExactPoly.var(g) for g in c_generators(N, M, 1)]
 
@@ -443,7 +432,7 @@ def _cgen_polys(N: int, M: int) -> list[ExactPoly]:
 def verify_compatibility(N: int, M: int) -> dict:
     """Mixed Jacobiator of the bracket pair over all distinct generator triples."""
     t1 = bracket1_c(N, M)
-    t2 = bracket2_c(N, M)
+    t2 = bracket2_c(N, M, 1)
     gens = _cgen_polys(N, M)
     failures = []
     cases = 0
@@ -471,6 +460,8 @@ def verify_bracrel(N: int, M: int) -> dict:
     literal: { , }_1 = { , }_2 - { , }_2 with every c_M(h) shifted by +1;
     flipped: { , }_1 equals the negative of that difference.
     """
+    t1 = bracket1_c(N, M)
+    t2 = bracket2_c(N, M, 1)
     gens = c_generators(N, M, 1)
     shift = {
         gen_c(1, M, h): ExactPoly.var(gen_c(1, M, h)) + ExactPoly.const(1)
@@ -483,8 +474,8 @@ def verify_bracrel(N: int, M: int) -> dict:
         for b in range(a, len(gens)):
             g1, g2 = gens[a], gens[b]
             cases += 1
-            lhs = bracket1_c_pair(N, M, (g1[2], g1[3]), (g2[2], g2[3]))
-            p2 = induced_bracket_c(N, M, 1, (g1[2], g1[3]), (g2[2], g2[3]))
+            lhs = t1.entry(g1, g2)
+            p2 = t2.entry(g1, g2)
             diff = p2 - p2.substitute(shift)
             if lhs != diff:
                 literal_failures.append({"pair": [list(g1), list(g2)]})
@@ -508,11 +499,11 @@ def ladder_pairs(curve: SpectralCurve) -> list[tuple[int, int]]:
     return sorted((d, d - curve.M) for d in degrees if d - curve.M in degrees)
 
 
-def verify_ladder(N: int, M: int, curve: SpectralCurve | None = None) -> dict:
+def verify_ladder(N: int, M: int) -> dict:
     """{q_{i+M}, g}_1 = {q_i, g}_2 on every generator, for every ledger pair."""
-    curve = _band_ledger(N, M, curve)
+    curve = compute_curve(N, M, "band")
     t1 = bracket1_c(N, M)
-    t2 = bracket2_c(N, M)
+    t2 = bracket2_c(N, M, 1)
     gens = _cgen_polys(N, M)
     failures = []
     cases = 0
@@ -540,11 +531,11 @@ def verify_ladder(N: int, M: int, curve: SpectralCurve | None = None) -> dict:
     }
 
 
-def verify_involution(N: int, M: int, curve: SpectralCurve | None = None) -> dict:
+def verify_involution(N: int, M: int) -> dict:
     """{q_i, q_j} = 0 for all ledger pairs, under both brackets."""
-    curve = _band_ledger(N, M, curve)
+    curve = compute_curve(N, M, "band")
     t1 = bracket1_c(N, M)
-    t2 = bracket2_c(N, M)
+    t2 = bracket2_c(N, M, 1)
     degrees = curve.degrees()
     failures = []
     cases = 0
@@ -586,10 +577,10 @@ def _casimir_suite(
     return cases, failures, witnesses
 
 
-def verify_casimir2(N: int, M: int, curve: SpectralCurve | None = None) -> dict:
+def verify_casimir2(N: int, M: int) -> dict:
     """Beta-free ledger entries kill bracket 2; all others move something."""
-    curve = _band_ledger(N, M, curve)
-    t2 = bracket2_c(N, M)
+    curve = compute_curve(N, M, "band")
+    t2 = bracket2_c(N, M, 1)
     gens = _cgen_polys(N, M)
     expected_set = [k * N for k in range(1, 2 * M + 1)]
     casimirs = curve.casimir2_degrees()
@@ -610,14 +601,14 @@ def verify_casimir2(N: int, M: int, curve: SpectralCurve | None = None) -> dict:
     }
 
 
-def verify_casimir1(N: int, M: int, curve: SpectralCurve | None = None) -> dict:
+def verify_casimir1(N: int, M: int) -> dict:
     """Row-rightmost ledger entries kill bracket 1; all others move something.
 
     The Casimir set is the rightmost slot of each alpha-row.  On tori with
     N > M this coincides with the degrees d whose partner d - M is not in
     the ledger; the report carries that degree-rule set for comparison.
     """
-    curve = _band_ledger(N, M, curve)
+    curve = compute_curve(N, M, "band")
     t1 = bracket1_c(N, M)
     gens = _cgen_polys(N, M)
     casimirs = curve.casimir1_degrees()
@@ -638,7 +629,7 @@ def verify_casimir1(N: int, M: int, curve: SpectralCurve | None = None) -> dict:
     }
 
 
-def qlink_report(N: int, M: int, curve: SpectralCurve | None = None) -> dict:
+def qlink_report(N: int, M: int) -> dict:
     """The c_M-derivative relation between determinant slots.
 
     The diagonal carries c_M(k) and beta only through c_M(k) - beta, so for
@@ -652,7 +643,7 @@ def qlink_report(N: int, M: int, curve: SpectralCurve | None = None) -> dict:
     multiplier reading |q_{d-M}| = |sum_k dq_d/dc_M(k)| is judged
     separately (``literal_unit_ok``) — it fails wherever b + 1 > 1.
     """
-    curve = _band_ledger(N, M, curve)
+    curve = compute_curve(N, M, "band")
     rows = []
     exact_ok = True
     literal_ok = True
@@ -724,7 +715,7 @@ def verify_degree_of_bracket(N: int, M: int) -> dict:
         want = gen_degree(g1, N, M) + gen_degree(g2, N, M)
         if p and (not p.is_homogeneous(N, M) or p.degree(N, M) != want):
             failures.append({"table": "bracket2_AB", "pair": [list(g1), list(g2)]})
-    t2 = bracket2_c(N, M)
+    t2 = bracket2_c(N, M, 1)
     t1 = bracket1_c(N, M)
     for g1, g2 in itertools.combinations_with_replacement(c_generators(N, M, 1), 2):
         cases += 2
@@ -775,7 +766,7 @@ def verify_jacobi(N: int, M: int) -> dict:
             bracket2_AB(N, M),
             [ExactPoly.var(g) for g in ab_generators(N, M)],
         ),
-        "bracket2_c": (bracket2_c(N, M), _cgen_polys(N, M)),
+        "bracket2_c": (bracket2_c(N, M, 1), _cgen_polys(N, M)),
         "bracket1_c": (bracket1_c(N, M), _cgen_polys(N, M)),
     }
     failures = []

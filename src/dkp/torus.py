@@ -9,13 +9,19 @@ so each table is determined by a walk plus a handful of exceptional jumps.
 Indexing: every torus point is stored canonically as (n mod N, m mod M)
 with 0 <= n < N, 0 <= m < M.  This module is the only conversion layer;
 callers may pass arbitrary integers.
+
+This module also owns the torus validator, ``_require_torus``, that lattice,
+curve, poisson, flows and pipes import.  The sign tables are immutable, so
+their builders are cached: each table is built once per argument set per
+process.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 
 Point = tuple[int, int]
@@ -227,6 +233,7 @@ def euclid_step_count(N: int, M: int) -> int:
     return steps
 
 
+@lru_cache(maxsize=None)
 def build_kappa(N: int, M: int) -> SignFunction:
     """Constructive kappa: two +-1 trails along the (-1,+1)-orbit.
 
@@ -255,6 +262,7 @@ def build_kappa(N: int, M: int) -> SignFunction:
     return SignFunction.from_table(N, M, "kappa", table)
 
 
+@lru_cache(maxsize=None)
 def build_rho(N: int, M: int) -> SignFunction:
     """rho(n,m) = kappa(n+1,m) + kappa(n,m) + delta_{(0,0)} - delta_{(-1,0)}."""
     _require_torus(N, M)
@@ -271,6 +279,7 @@ def build_rho(N: int, M: int) -> SignFunction:
     return SignFunction.from_table(N, M, "rho", table)
 
 
+@lru_cache(maxsize=None)
 def build_phi(N: int, M: int) -> SignFunction:
     """phi(n,m) = -rho(-n-1,-m) - rho(-n,-m)."""
     _require_torus(N, M)
@@ -305,6 +314,7 @@ def _zeta_le(N: int, M: int, x: int, y: int, k: SignFunction) -> dict[Point, int
     return table
 
 
+@lru_cache(maxsize=None)
 def build_zeta(N: int, M: int, x: int, y: int) -> SignFunction:
     """zeta^{x,y} for x, y >= 0; x > y is defined by zeta^{x,y}(n,m) = -zeta^{y,x}(-n,-m)."""
     _require_torus(N, M)

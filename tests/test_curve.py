@@ -12,6 +12,7 @@ from dkp.curve import (
     slot_degree,
     verify_degree_symmetry,
 )
+from dkp.lattice import c_alpha_minus_beta, det_minor_expansion, reduction_levels
 from dkp.symalg import ExactPoly, gen_A, gen_B, gen_c, poly_sum
 
 
@@ -110,10 +111,21 @@ def test_five_site_two_layer_ledger():
 def test_four_site_three_layer_ledger():
     curve = compute_curve(4, 3)
     led = q_ledger(curve)
+    assert led["degrees"] == [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 13, 16, 17, 20, 24]
     assert led["count"] == led["count_expected"] == 15
     assert led["casimir2_degrees"] == [4, 8, 12, 16, 20, 24]
     assert len(led["casimir1_degrees"]) == 6
     assert led["casimir1_degrees"] == [1, 2, 3, 10, 17, 24]
+
+
+def test_even_site_count_flips_the_raw_pivot():
+    # the raw alpha^M slot is (-1)^(N-1); normalization makes it +1
+    N, M = 2, 3
+    det = det_minor_expansion(c_alpha_minus_beta(N, M, reduction_levels(N, M)[1]))
+    assert det.alpha_beta_decomposition()[(M, 0)] == ExactPoly.const(-1)
+    curve = compute_curve(N, M)
+    assert curve.poly(M, 0) == ExactPoly.const(1)
+    assert curve.poly(0, N) == ExactPoly.const(-1)
 
 
 @pytest.mark.parametrize("N,M", [(3, 1), (3, 2), (5, 2), (4, 3), (2, 3)])

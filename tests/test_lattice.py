@@ -217,6 +217,16 @@ def test_alpha_corner_twists():
     assert C[2][0] == ExactPoly.var(ALPHA)
 
 
+def test_alpha_corner_twists_two_and_four_sites():
+    # N = 2: the corners are also band neighbours, so the twist adds to them
+    C = c_alpha(2, 1, reduction_levels(2, 1)[1])
+    assert C[0][1] == ExactPoly.const(1) - ExactPoly.var(ALPHA, -1) * B(2, 0, 0)
+    assert C[1][0] == ExactPoly.var(ALPHA) - B(2, 1, 0)
+    C = c_alpha(4, 1, reduction_levels(4, 1)[1])
+    assert C[0][3] == ExactPoly.var(ALPHA, -1) * (-B(4, 0, 0))
+    assert C[3][0] == ExactPoly.var(ALPHA)
+
+
 def test_w_matrix_block_structure():
     N, M = 3, 2
     W = w_matrix(N, M)

@@ -30,6 +30,7 @@ from dkp.poisson import bracket2_AB, bracket_extend
 from dkp.symalg import gen_B, poly_A
 
 AC_TORI = [(3, 2), (5, 2), (4, 3)]
+SMALL_TORI = [(3, 1), (4, 1), (2, 3)]
 
 # Per-degree diagram counts, frozen from the cross-validated enumeration
 # (they equal the pure-A monomial counts of the conserved quantities).
@@ -37,6 +38,7 @@ DIAGRAM_COUNTS = {
     (3, 1): {1: 3, 2: 3, 3: 1},
     (4, 1): {1: 4, 2: 6, 3: 4, 4: 1},
     (3, 2): {1: 6, 2: 3, 3: 2, 4: 3, 5: 0, 6: 1},
+    (2, 3): {1: 6, 2: 3, 3: 2, 4: 3, 5: 0, 6: 1},
     (5, 2): {1: 10, 2: 5, 3: 20, 4: 10, 5: 2, 6: 10, 7: 0, 8: 5, 9: 0, 10: 1},
     (4, 3): {
         1: 12, 2: 30, 3: 4, 4: 3, 5: 48, 6: 6,
@@ -139,7 +141,7 @@ class TestEnumeration:
         assert len(only.horizontal) == N * M
         assert only.knee_pairs == 0
 
-    @pytest.mark.parametrize("N,M", AC_TORI)
+    @pytest.mark.parametrize("N,M", AC_TORI + SMALL_TORI)
     def test_degree_zero_diagrams(self, N, M):
         zero = enumerate_tpds(N, M, 0)
         assert len(zero) == 2
@@ -183,7 +185,7 @@ class TestEnumeration:
 
 
 class TestBijection:
-    @pytest.mark.parametrize("N,M", AC_TORI + [(3, 1), (4, 1)])
+    @pytest.mark.parametrize("N,M", AC_TORI + SMALL_TORI)
     def test_counts_match_per_degree(self, N, M):
         report = monomial_tpd_bijection(N, M)
         assert report["ok"] is True
@@ -228,10 +230,13 @@ class TestBijection:
             row = report["per_degree"][d]
             assert row == {"monomials": 0, "diagrams": 0, "ok": True}
 
-    def test_band_mode_curve_rejected(self):
-        band = compute_curve(3, 2, mode="band")
-        with pytest.raises(ValueError, match="AB-mode"):
-            monomial_tpd_bijection(3, 2, curve=band)
+    @pytest.mark.parametrize("N,M", SMALL_TORI)
+    def test_unit_coefficients_and_constant_slots_on_small_tori(self, N, M):
+        report = monomial_tpd_bijection(N, M)
+        assert set(report["monomial_coefficients"].values()) <= {1, -1}
+        curve = compute_curve(N, M)
+        consts = {ab: p.constant_value() for ab, p in curve.coefficients.items() if p.is_constant()}
+        assert consts == {(M, 0): 1, (0, N): -1}
 
     def test_failing_support_returns_none(self):
         # (1,1) sits exactly where the knee chain from (0,0) must place an
@@ -324,6 +329,15 @@ class TestSumZero:
         assert report["pairs"] == 9
         assert report["max_group_size"] == 3
         assert report["ok"] is True
+
+    @pytest.mark.parametrize("N,M,degrees,size", [(5, 2, (4, 6), 10), (4, 3, (5, 5), 8)])
+    def test_largest_product_group_pinned(self, N, M, degrees, size):
+        assert sum_zero_check(N, M, *degrees)["max_group_size"] == size
+
+    def test_nonzero_pairings_counted_on_3_2(self):
+        diagrams = [d for deg in realized_degrees(3, 2) for d in enumerate_tpds(3, 2, deg)]
+        values = [pairing(a, b) for a in diagrams for b in diagrams]
+        assert (len(values), sum(1 for k in values if k)) == (225, 24)
 
     @pytest.mark.parametrize("N,M", AC_TORI)
     def test_nonzero_pairing_always_has_partner(self, N, M):
@@ -418,7 +432,7 @@ class TestWindingObservation:
             if winds:
                 assert winds == {(M - entry.alpha_exp, entry.beta_exp)}, (N, M, d)
 
-    @pytest.mark.parametrize("N,M", AC_TORI)
+    @pytest.mark.parametrize("N,M", AC_TORI + SMALL_TORI)
     def test_degree_zero_windings_match_constant_slots(self, N, M):
         empty, all_knees = sorted(enumerate_tpds(N, M, 0), key=lambda d: len(d.pieces))
         assert empty.winding == (M - M, 0)  # constant slot (M, 0)

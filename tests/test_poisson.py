@@ -2,7 +2,6 @@
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -173,12 +172,11 @@ def test_extension_antisymmetry_and_leibniz(data):
 
 # ------------------------------------------- packed kernel against definition
 
-TABLES = {"bracket2_AB": bracket2_AB, "bracket2_c": bracket2_c, "bracket1_c": bracket1_c}
-
-
-@lru_cache(maxsize=None)
-def _table(name, N, M):
-    return TABLES[name](N, M)
+TABLES = {
+    "bracket2_AB": bracket2_AB,
+    "bracket2_c": lambda N, M: bracket2_c(N, M, 1),
+    "bracket1_c": bracket1_c,
+}
 
 
 def _bracket_by_definition(t, f, g):
@@ -211,7 +209,7 @@ def _poly(data, t, tag):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_packed_bracket_matches_definition(name, N, M, data):
-    t = _table(name, N, M)
+    t = TABLES[name](N, M)
     f, g = _poly(data, t, "f"), _poly(data, t, "g")
     assert bracket_extend(t, f, g) == _bracket_by_definition(t, f, g)
 
@@ -311,7 +309,7 @@ class TestInducedBracket:
 
     @pytest.mark.parametrize("N,M", [(3, 2), (5, 2), (4, 3)])
     def test_jacobi_bracket2_c(self, N, M):
-        t = bracket2_c(N, M)
+        t = bracket2_c(N, M, 1)
         gens = [ExactPoly.var(g) for g in c_generators(N, M)]
         for x, y, z in itertools.combinations(gens, 3):
             assert not jacobi_defect(t, x, y, z)
@@ -391,6 +389,17 @@ class TestIdentities:
         report = verify_bracrel(3, 2)
         assert not report["ok"]
         assert len(report["failures"]) == 18
+
+    def test_bracrel_printed_orientation_fails_on_single_layer(self):
+        report = verify_bracrel(3, 1)
+        assert (report["ok"], len(report["failures"]), report["cases"]) == (False, 6, 21)
+        assert report["flipped_ok"]
+
+    def test_case_counts_on_3_2(self):
+        # every distinct triple of the 12 level-1 generators, every unordered
+        # generator pair of the three tables (twice for the two c-tables)
+        assert verify_compatibility(3, 2)["cases"] == 220
+        assert verify_degree_of_bracket(3, 2)["cases"] == 234
 
     @pytest.mark.parametrize(
         "N,M,pairs",
@@ -511,5 +520,5 @@ class TestIdentities:
     def test_ledger_polys_pass_through_extension(self):
         # spot-check an involution pair by hand: {q_1, q_12}_2 = 0 on (3,2)
         curve = compute_curve(3, 2, "band")
-        t2 = bracket2_c(3, 2)
+        t2 = bracket2_c(3, 2, 1)
         assert not bracket_extend(t2, curve.q(1), curve.q(12))

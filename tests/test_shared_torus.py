@@ -1,0 +1,95 @@
+"""One torus validator, per-torus objects built once, and no unused imports."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from dkp import poisson
+from dkp.cli import main
+from dkp.curve import compute_curve
+from dkp.flows import KPStateNumeric
+from dkp.lattice import reduction_levels
+from dkp.pipes import enumerate_tpds
+from dkp.poisson import bracket2_AB
+from dkp.torus import build_kappa
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dkp"
+
+ENTRY_POINTS = {
+    "torus.build_kappa": build_kappa,
+    "lattice.reduction_levels": reduction_levels,
+    "curve.compute_curve": compute_curve,
+    "poisson.bracket2_AB": bracket2_AB,
+    "flows.KPStateNumeric.random": lambda N, M: KPStateNumeric.random(N, M, seed=0),
+    "pipes.enumerate_tpds": lambda N, M: enumerate_tpds(N, M, 1),
+}
+
+# Names a module imports only so that callers can import them from it.
+REEXPORTS = {"flows": {"first_flow_rhs_AB"}}
+
+
+@pytest.mark.parametrize("N,M,message", [(4, 2, "coprime"), (0, 3, "positive")])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_module_rejects_a_bad_torus_alike(entry, N, M, message):
+    with pytest.raises(ValueError, match=f"torus dimensions must be {message}, got"):
+        ENTRY_POINTS[entry](N, M)
+
+
+def test_check_builds_each_bracket_table_once(monkeypatch, capsys):
+    for builder in (poisson.bracket2_AB, poisson.bracket2_c, poisson.bracket1_c):
+        builder.cache_clear()
+    built = []
+    init = poisson.BracketTable.__init__
+
+    def counting_init(self, kind, N, M, universe, entry_fn):
+        built.append(kind)
+        init(self, kind, N, M, universe, entry_fn)
+
+    monkeypatch.setattr(poisson.BracketTable, "__init__", counting_init)
+    N, M = 3, 4
+    assert main(["check", "--N", str(N), "--M", str(M), "--suite", "all"]) == 0
+    capsys.readouterr()
+    # bracket2_AB, bracket1_c, and bracket2_c at each level 1..M
+    assert len(built) == M + 2
+    assert sorted(built) == sorted(["bracket2_AB", "bracket1_c"] + ["bracket2_c"] * M)
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def test_one_torus_validator():
+    defs = [
+        name
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_require_torus"
+    ]
+    assert defs == ["torus"]
+
+
+def _unused_imports(tree: ast.Module) -> set[str]:
+    imported: set[str] = set()
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = {ast.literal_eval(e) for e in node.value.elts}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used - exported
+
+
+def test_no_unused_top_level_imports():
+    unused = {
+        name: sorted(_unused_imports(tree) - REEXPORTS.get(name, set()))
+        for name, tree in _modules().items()
+    }
+    assert {name: names for name, names in unused.items() if names} == {}
