@@ -36,6 +36,23 @@ written the other way round the count comes out with the opposite sign on
 every pair, which the exhaustive cross-check against the bracket rules out.
 All of this is verified mechanically at desk scale by the test suite.
 
+The exhaustive checks run as integer matrix algebra.  Row r of the int64
+matrices H, L and R is the 0/1 indicator of diagram r's horizontal,
+left-down and up-right pieces over the sites n*M + m, and K is the
+circulant kappa matrix, K[s, t] = kappa(s - t).  Then, over all ordered
+pairs at once,
+
+    knee route    P = (L - R) H^T
+    kappa route   P = H K H^T
+    antisymmetry  P = -P^T
+
+and the product of a pair is the sum of the two diagrams' [H | L | R]
+count rows (each entry at most 2), so grouping pairs by product is grouping
+equal summed rows.  The arithmetic is exact: no float enters, every entry
+is bounded by NM on the knee route and by (NM)^2 max|kappa| on the kappa
+route, and a group total adds at most one knee entry per pair, all far
+inside int64.  `pairing` computes a single entry by both routes.
+
 Degree-0 diagrams exist (the empty diagram and the single all-knee cycle);
 they correspond to the constant terms of the determinant and are excluded
 from the monomial bijection, which concerns the nonconstant ledger entries.
@@ -47,7 +64,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .curve import compute_curve
 from .symalg import ExactPoly, Scalar, gen_B, poly_A
@@ -367,12 +386,6 @@ def monomial_tpd_bijection(N: int, M: int) -> dict:
     }
 
 
-@lru_cache(maxsize=None)
-def _kappa_table(N: int, M: int) -> dict[tuple[int, int], int]:
-    kappa = build_kappa(N, M)
-    return {(n, m): kappa(n, m) for n in range(N) for m in range(M)}
-
-
 def _same_torus(d1: PipeDiagram, d2: PipeDiagram) -> None:
     if (d1.N, d1.M) != (d2.N, d2.M):
         raise ValueError(
@@ -390,13 +403,8 @@ def pairing_routes(d1: PipeDiagram, d2: PipeDiagram) -> tuple[int, int]:
     knee = sum(1 for s in d2.horizontal if s in d1.left_down) - sum(
         1 for s in d2.horizontal if s in d1.up_right
     )
-    table = _kappa_table(d1.N, d1.M)
-    N, M = d1.N, d1.M
-    kappa_sum = sum(
-        table[((n - i) % N, (m - j) % M)]
-        for n, m in d1.horizontal
-        for i, j in d2.horizontal
-    )
+    kappa = build_kappa(d1.N, d1.M)
+    kappa_sum = sum(kappa(n - i, m - j) for n, m in d1.horizontal for i, j in d2.horizontal)
     return knee, kappa_sum
 
 
@@ -416,33 +424,75 @@ def product_key(d1: PipeDiagram, d2: PipeDiagram) -> tuple[tuple[Site, str], ...
     return tuple(sorted(d1.pieces + d2.pieces))
 
 
+# Matrix form.  A diagram is a (3, NM) 0/1 count row: its horizontal,
+# left-down and up-right pieces (in the sorted order of the piece names)
+# at site n*M + m.  Every array is int64 or int8; no float is involved.
+
+_PIECE_ORDER = (HORIZONTAL, LEFT_DOWN, UP_RIGHT)
+
+
+def _piece_counts(diagrams: Sequence[PipeDiagram], N: int, M: int) -> np.ndarray:
+    """Stack the diagrams' count rows into an int64 array of shape (len, 3, NM)."""
+    counts = np.zeros((len(diagrams), 3, N * M), dtype=np.int64)
+    for r, diag in enumerate(diagrams):
+        for k, sites in enumerate((diag.horizontal, diag.left_down, diag.up_right)):
+            counts[r, k, [n * M + m for n, m in sites]] = 1
+    return counts
+
+
+def _pairing_matrices(
+    counts1: np.ndarray, counts2: np.ndarray, N: int, M: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both routes for every ordered pair: ``(L1 - R1) H2^T`` and ``H1 K H2^T``."""
+    values = np.array(build_kappa(N, M).values, dtype=np.int64)  # values[m][n]
+    n, m = np.divmod(np.arange(N * M), M)
+    K = values[(m[:, None] - m) % M, (n[:, None] - n) % N]
+    H1, L1, R1 = counts1[:, 0], counts1[:, 1], counts1[:, 2]
+    H2 = counts2[:, 0]
+    return (L1 - R1) @ H2.T, H1 @ K @ H2.T
+
+
+def _product_groups(counts1: np.ndarray, counts2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the ordered pairs of two diagram lists by product.
+
+    Pair (i, j) has flat index ``i * len(counts2) + j``.  Returns the product
+    count row of each group, shape (groups, 3, NM), and the group of each
+    pair.  Groups are numbered in the order of their first pair.
+    """
+    shape = counts1.shape[1:]
+    keys = counts1.astype(np.int8)[:, None] + counts2.astype(np.int8)[None, :]  # entries <= 2
+    keys = keys.reshape(len(counts1) * len(counts2), shape[0] * shape[1])
+    packed = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return keys[first[order]].reshape(-1, *shape), rank[inverse.ravel()]
+
+
 def verify_pairing_consistency(N: int, M: int, max_degree: int | None = None) -> dict:
     """Cross-check both pairing formulas and antisymmetry on all diagram pairs."""
     _require_torus(N, M)
     top = N * M if max_degree is None else max_degree
     diagrams = [d for deg in range(0, top + 1) for d in enumerate_tpds(N, M, deg)]
-    failures: list[dict] = []
-    checked = 0
-    for d1 in diagrams:
-        for d2 in diagrams:
-            knee, kappa_sum = pairing_routes(d1, d2)
-            back, _ = pairing_routes(d2, d1)
-            checked += 1
-            if knee != kappa_sum or knee != -back:
-                failures.append(
-                    {
-                        "d1": d1.site_map(),
-                        "d2": d2.site_map(),
-                        "knee": knee,
-                        "kappa_sum": kappa_sum,
-                        "reverse": back,
-                    }
-                )
+    counts = _piece_counts(diagrams, N, M)
+    knee, kappa_sum = _pairing_matrices(counts, counts, N, M)
+    bad = np.argwhere((knee != kappa_sum) | (knee != -knee.T))
+    failures = [
+        {
+            "d1": diagrams[i].site_map(),
+            "d2": diagrams[j].site_map(),
+            "knee": int(knee[i, j]),
+            "kappa_sum": int(kappa_sum[i, j]),
+            "reverse": int(knee[j, i]),
+        }
+        for i, j in bad
+    ]
     return {
         "N": N,
         "M": M,
         "diagrams": len(diagrams),
-        "pairs": checked,
+        "pairs": len(diagrams) ** 2,
         "failures": failures,
         "ok": not failures,
     }
@@ -453,33 +503,43 @@ def sum_zero_check(N: int, M: int, degree1: int, degree2: int) -> dict:
     _require_torus(N, M)
     diags1 = enumerate_tpds(N, M, degree1)
     diags2 = enumerate_tpds(N, M, degree2)
-    groups: dict[tuple, list[tuple[int, int, int]]] = {}
-    nonzero_pairings = 0
-    for i, d1 in enumerate(diags1):
-        for j, d2 in enumerate(diags2):
-            k = pairing(d1, d2)
-            if k:
-                nonzero_pairings += 1
-            groups.setdefault(product_key(d1, d2), []).append((i, j, k))
+    counts1 = _piece_counts(diags1, N, M)
+    counts2 = _piece_counts(diags2, N, M)
+    knee, kappa_sum = _pairing_matrices(counts1, counts2, N, M)
+    disagree = np.argwhere(knee != kappa_sum)
+    if len(disagree):
+        i, j = disagree[0]
+        raise RuntimeError(
+            f"pairing routes disagree: knee count {knee[i, j]}, kappa sum {kappa_sum[i, j]}"
+        )
+    keys, group = _product_groups(counts1, counts2)
+    values = knee.ravel()
+    totals = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(totals, group, values)
     bad = []
-    for key, members in groups.items():
-        total = sum(k for _, _, k in members)
-        if total:
-            bad.append(
-                {
-                    "product": [f"{n},{m}:{piece}" for (n, m), piece in key],
-                    "total": total,
-                    "pairs": members,
-                }
-            )
+    for g in np.flatnonzero(totals):
+        flat = np.flatnonzero(group == g)
+        members = [(*divmod(int(f), len(diags2)), int(values[f])) for f in flat]
+        bad.append(
+            {
+                "product": [
+                    f"{s // M},{s % M}:{piece}"
+                    for s in range(N * M)
+                    for k, piece in enumerate(_PIECE_ORDER)
+                    for _ in range(keys[g, k, s])
+                ],
+                "total": int(totals[g]),
+                "pairs": members,
+            }
+        )
     return {
         "N": N,
         "M": M,
         "degrees": [degree1, degree2],
         "pairs": len(diags1) * len(diags2),
-        "groups": len(groups),
-        "max_group_size": max((len(v) for v in groups.values()), default=0),
-        "nonzero_pairings": nonzero_pairings,
+        "groups": len(keys),
+        "max_group_size": int(np.bincount(group).max()) if len(group) else 0,
+        "nonzero_pairings": int(np.count_nonzero(knee)),
         "nonzero_groups": bad,
         "ok": not bad,
     }
@@ -490,15 +550,16 @@ def decomposition_partners(
 ) -> list[tuple[PipeDiagram, PipeDiagram]]:
     """All other ordered pairs with the same degrees and the same product."""
     _same_torus(d1, d2)
-    key = product_key(d1, d2)
-    partners: list[tuple[PipeDiagram, PipeDiagram]] = []
-    for d3 in enumerate_tpds(d1.N, d1.M, d1.degree):
-        for d4 in enumerate_tpds(d2.N, d2.M, d2.degree):
-            if d3 == d1 and d4 == d2:
-                continue
-            if product_key(d3, d4) == key:
-                partners.append((d3, d4))
-    return partners
+    N, M = d1.N, d1.M
+    diags1 = enumerate_tpds(N, M, d1.degree)
+    diags2 = enumerate_tpds(N, M, d2.degree)
+    _, group = _product_groups(_piece_counts(diags1, N, M), _piece_counts(diags2, N, M))
+    own = diags1.index(d1) * len(diags2) + diags2.index(d2)
+    return [
+        (diags1[f // len(diags2)], diags2[f % len(diags2)])
+        for f in np.flatnonzero(group == group[own])
+        if f != own
+    ]
 
 
 def bracket_b0_check(

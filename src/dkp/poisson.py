@@ -110,7 +110,8 @@ class BracketTable:
         if cached is None:
             cached = self._entry_fn(g1, g2)
             self._cache[key] = cached
-            self._cache[(g2, g1)] = -cached
+            if g1 != g2:
+                self._cache[(g2, g1)] = -cached
         return cached
 
     # packed monomials

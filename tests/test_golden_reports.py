@@ -1,8 +1,9 @@
-"""Golden ``check --suite all`` reports: the exact bytes the suites produce.
+"""Golden reports: the exact bytes ``check --suite all`` and ``pipes
+--pairings --sum-zero`` produce.
 
 Each digest is the SHA-256 of the report with its top-level ``seed`` line
 removed (the rule of ``perfbench/gate.py``).  (4, 3) is a torus the
-benchmark does not run.
+benchmark does not run, and neither is ``pipes`` on (5, 2).
 """
 
 import hashlib
@@ -21,11 +22,29 @@ GOLDEN = {
     (4, 3): "2862f18f3f454dcd677db07f39aa6e507e0ba6328c7f3f6890c8ef85955bffa5",
 }
 
+# Recorded from the per-pair loop form of the pairing and sum-zero checks;
+# (3, 2) is also the digest in perfbench/digests.json.
+GOLDEN_PIPES = {
+    (3, 2): "8d79e4f51d7428caeebaf6a9fee627654270d32d0ef33b24f57edc164917db07",
+    (5, 2): "60197c035eea644d835f6ea3da8284c05f5716a903faf92c8a84ad7352152747",
+    (4, 3): "5d2997f3b531fc8710f6131eb64207171b9d8a5158f0af65df99a74a11e71b16",
+}
+
+
+def _digest(capsys, argv):
+    code = main(argv)
+    report = capsys.readouterr().out.encode()
+    assert code == 0
+    return hashlib.sha256(_SEED_LINE.sub(b"\n", report, count=1)).hexdigest()
+
 
 @pytest.mark.parametrize("N,M", sorted(GOLDEN))
 def test_check_all_report_bytes(capsys, N, M):
-    code = main(["check", "--N", str(N), "--M", str(M), "--suite", "all"])
-    report = capsys.readouterr().out.encode()
-    assert code == 0
-    digest = hashlib.sha256(_SEED_LINE.sub(b"\n", report, count=1)).hexdigest()
-    assert digest == GOLDEN[(N, M)]
+    argv = ["check", "--N", str(N), "--M", str(M), "--suite", "all"]
+    assert _digest(capsys, argv) == GOLDEN[(N, M)]
+
+
+@pytest.mark.parametrize("N,M", sorted(GOLDEN_PIPES))
+def test_pipes_pairings_sum_zero_report_bytes(capsys, N, M):
+    argv = ["pipes", "--N", str(N), "--M", str(M), "--pairings", "--sum-zero"]
+    assert _digest(capsys, argv) == GOLDEN_PIPES[(N, M)]

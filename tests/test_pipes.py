@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,8 +28,10 @@ from dkp.pipes import (
     sum_zero_check,
     verify_pairing_consistency,
 )
+from dkp import pipes
 from dkp.poisson import bracket2_AB, bracket_extend
 from dkp.symalg import gen_B, poly_A
+from dkp.torus import build_kappa
 
 AC_TORI = [(3, 2), (5, 2), (4, 3)]
 SMALL_TORI = [(3, 1), (4, 1), (2, 3)]
@@ -390,6 +394,192 @@ class TestSumZero:
             1 for ks in groups.values() if len(ks) == 2 and sorted(ks) == [-1, 1]
         )
         assert two_member_unit > 0
+
+
+# Reference: the per-pair loop form of the two exhaustive checks.  The
+# library computes them as integer matrix algebra; these loops are the oracle.
+
+def reference_pairing_consistency(N, M, max_degree=None, routes=pairing_routes):
+    top = N * M if max_degree is None else max_degree
+    diagrams = [d for deg in range(0, top + 1) for d in enumerate_tpds(N, M, deg)]
+    failures = []
+    checked = 0
+    for d1 in diagrams:
+        for d2 in diagrams:
+            knee, kappa_sum = routes(d1, d2)
+            back, _ = routes(d2, d1)
+            checked += 1
+            if knee != kappa_sum or knee != -back:
+                failures.append(
+                    {
+                        "d1": d1.site_map(),
+                        "d2": d2.site_map(),
+                        "knee": knee,
+                        "kappa_sum": kappa_sum,
+                        "reverse": back,
+                    }
+                )
+    return {
+        "N": N,
+        "M": M,
+        "diagrams": len(diagrams),
+        "pairs": checked,
+        "failures": failures,
+        "ok": not failures,
+    }
+
+
+def reference_sum_zero(N, M, degree1, degree2, pair=pairing):
+    diags1 = enumerate_tpds(N, M, degree1)
+    diags2 = enumerate_tpds(N, M, degree2)
+    groups = {}
+    nonzero_pairings = 0
+    for i, d1 in enumerate(diags1):
+        for j, d2 in enumerate(diags2):
+            k = pair(d1, d2)
+            if k:
+                nonzero_pairings += 1
+            groups.setdefault(product_key(d1, d2), []).append((i, j, k))
+    bad = []
+    for key, members in groups.items():
+        total = sum(k for _, _, k in members)
+        if total:
+            bad.append(
+                {
+                    "product": [f"{n},{m}:{piece}" for (n, m), piece in key],
+                    "total": total,
+                    "pairs": members,
+                }
+            )
+    return {
+        "N": N,
+        "M": M,
+        "degrees": [degree1, degree2],
+        "pairs": len(diags1) * len(diags2),
+        "groups": len(groups),
+        "max_group_size": max((len(v) for v in groups.values()), default=0),
+        "nonzero_pairings": nonzero_pairings,
+        "nonzero_groups": bad,
+        "ok": not bad,
+    }
+
+
+def reference_partners(d1, d2):
+    key = product_key(d1, d2)
+    return [
+        (d3, d4)
+        for d3 in enumerate_tpds(d1.N, d1.M, d1.degree)
+        for d4 in enumerate_tpds(d2.N, d2.M, d2.degree)
+        if not (d3 == d1 and d4 == d2) and product_key(d3, d4) == key
+    ]
+
+
+def _flip_one_kappa(monkeypatch, N, M):
+    """Make pipes read a kappa table with its first nonzero entry negated."""
+    kappa = build_kappa(N, M)
+    (n, m), value = kappa.nonzero()[0]
+    values = [list(row) for row in kappa.values]
+    values[m][n] = -value
+    flipped = dataclasses.replace(kappa, values=tuple(tuple(row) for row in values))
+    monkeypatch.setattr(pipes, "build_kappa", lambda *_: flipped)
+
+
+class TestMatrixFormOracle:
+    @pytest.mark.parametrize("N,M", AC_TORI)
+    def test_consistency_matches_loops(self, N, M):
+        assert verify_pairing_consistency(N, M) == reference_pairing_consistency(N, M)
+        assert verify_pairing_consistency(N, M, 3) == reference_pairing_consistency(N, M, 3)
+
+    @pytest.mark.parametrize("N,M", AC_TORI)
+    def test_sum_zero_matches_loops_on_every_degree_pair(self, N, M):
+        for d1 in range(N * M + 1):
+            for d2 in range(N * M + 1):
+                assert sum_zero_check(N, M, d1, d2) == reference_sum_zero(N, M, d1, d2)
+
+    @pytest.mark.parametrize("degrees", [(4, 7), (7, 4), (5, 5), (2, 9), (0, 4)])
+    def test_sum_zero_matches_loops_on_5_3(self, degrees):
+        assert sum_zero_check(5, 3, *degrees) == reference_sum_zero(5, 3, *degrees)
+
+    def test_partners_match_loops(self):
+        for a in enumerate_tpds(3, 2, 1) + enumerate_tpds(3, 2, 4):
+            for b in enumerate_tpds(3, 2, 2):
+                assert decomposition_partners(a, b) == reference_partners(a, b)
+                assert decomposition_partners(b, a) == reference_partners(b, a)
+
+    def test_pairing_matrices_are_int64(self):
+        counts = pipes._piece_counts(enumerate_tpds(4, 3, 5), 4, 3)
+        knee, kappa_sum = pipes._pairing_matrices(counts, counts, 4, 3)
+        assert knee.dtype == kappa_sum.dtype == np.int64
+        assert np.array_equal(knee, kappa_sum)
+
+
+class TestMatrixFormMutations:
+    @pytest.mark.parametrize("N,M", [(3, 2), (4, 3)])
+    def test_flipped_kappa_entry_fails_consistency(self, monkeypatch, N, M):
+        _flip_one_kappa(monkeypatch, N, M)
+        report = verify_pairing_consistency(N, M)
+        assert report["ok"] is False
+        assert report == reference_pairing_consistency(N, M)
+
+    def test_one_sided_pairing_fails_antisymmetry(self, monkeypatch):
+        # both routes agree on the bumped pair, so only its reverse disagrees
+        diagrams = [d for deg in range(7) for d in enumerate_tpds(3, 2, deg)]
+        i, j = 4, 11
+        bumped = (diagrams[i], diagrams[j])
+
+        def routes(a, b):
+            knee, kappa_sum = pairing_routes(a, b)
+            step = (a, b) == bumped
+            return knee + step, kappa_sum + step
+
+        expected = reference_pairing_consistency(3, 2, routes=routes)
+        original = pipes._pairing_matrices
+
+        def perturbed(*args):
+            knee, kappa_sum = original(*args)
+            knee[i, j] += 1
+            kappa_sum[i, j] += 1
+            return knee, kappa_sum
+
+        monkeypatch.setattr(pipes, "_pairing_matrices", perturbed)
+        report = verify_pairing_consistency(3, 2)
+        assert len(report["failures"]) == 2
+        assert report == expected
+
+    def test_flipped_kappa_entry_stops_sum_zero(self, monkeypatch):
+        _flip_one_kappa(monkeypatch, 3, 2)
+        with pytest.raises(RuntimeError, match="pairing routes disagree") as expected:
+            reference_sum_zero(3, 2, 1, 1)
+        with pytest.raises(RuntimeError, match="pairing routes disagree") as got:
+            sum_zero_check(3, 2, 1, 1)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "N,M,degrees,targets",
+        [
+            (3, 2, (2, 4), [(0, 0)]),  # one pairing in one group
+            (4, 3, (5, 5), [(40, 2), (3, 7), (3, 9)]),  # groups out of order
+        ],
+    )
+    def test_perturbed_pairing_fails_its_group(self, monkeypatch, N, M, degrees, targets):
+        diags1, diags2 = (enumerate_tpds(N, M, d) for d in degrees)
+        bumped = {(diags1[i], diags2[j]) for i, j in targets}
+        expected = reference_sum_zero(
+            N, M, *degrees, pair=lambda a, b: pairing(a, b) + ((a, b) in bumped)
+        )
+        original = pipes._pairing_matrices
+
+        def perturbed(*args):
+            knee, kappa_sum = original(*args)
+            for i, j in targets:
+                knee[i, j] += 1
+                kappa_sum[i, j] += 1
+            return knee, kappa_sum
+
+        monkeypatch.setattr(pipes, "_pairing_matrices", perturbed)
+        report = sum_zero_check(N, M, *degrees)
+        assert report["ok"] is False
+        assert report == expected
 
 
 class TestBracketAtBZero:

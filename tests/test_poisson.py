@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dkp.curve import compute_curve
 from dkp.poisson import (
     BRACKET1_SIGN,
+    BracketTable,
     ab_generators,
     bracket1_c,
     bracket1_c_literal,
@@ -238,6 +239,15 @@ def test_exponent_outside_field_raises(gen, exp):
         bracket_extend(t, f, ExactPoly.var(gen_B(0, 0)))
     with pytest.raises(OverflowError):
         bracket_extend(t, ExactPoly.var(gen_B(0, 0)), f)
+
+
+def test_diagonal_entry_is_read_back_unchanged():
+    # the reverse key of a diagonal pair is the pair itself: filling it with
+    # the negated value would flip every later lookup
+    g = gen_A(0, 0)
+    t = BracketTable("custom", 3, 2, [g], lambda a, b: ExactPoly.const(1))
+    assert t.entry(g, g) == ExactPoly.const(1)
+    assert t.entry(g, g) == ExactPoly.const(1)
 
 
 def test_foreign_generator_rejected_in_polynomials():
