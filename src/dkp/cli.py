@@ -8,25 +8,26 @@ and any randomized input (the flow command's default initial state) is drawn
 from the seed alone.
 
 Exit status: 0 when every check passed (or the command has nothing to check),
-1 when a verification or tolerance failed, 2 for configuration errors —
-including the dedicated non-coprime torus error — and argparse's own usage
-errors.
+1 when a verification or tolerance failed or a flow blew up, 2 for
+configuration errors — including the dedicated non-coprime torus error — and
+argparse's own usage errors.
+
+``RunConfig`` holds every option default: the parser leaves an option it was
+not given out of the namespace, so the field default applies.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
 
 from . import __version__
 from .curve import compute_curve
-from .flows import KPStateNumeric, integrate, state_index
+from .flows import FlowBlowup, KPStateNumeric, integrate, state_index
 from .pipes import (
     enumerate_tpds,
     monomial_tpd_bijection,
@@ -43,8 +44,25 @@ from .poisson import (
     verify_jacobi,
     verify_ladder,
 )
+from .torus import _require_torus
 
-SUITES = ("jacobi", "closure", "ladder", "involution", "compat", "casimir", "qlink")
+# Suite name -> (N, M) -> {check name: report}, in report order.  The entries
+# look the suite functions up in this module at call time.
+_SUITES = {
+    "jacobi": lambda N, M: {"jacobi": verify_jacobi(N, M)},
+    "closure": lambda N, M: {
+        f"closure-level-{j}": closure_verify(N, M, j) for j in range(1, M + 1)
+    },
+    "ladder": lambda N, M: {"ladder": verify_ladder(N, M)},
+    "involution": lambda N, M: {"involution": verify_involution(N, M)},
+    "compat": lambda N, M: {"compat": verify_compatibility(N, M)},
+    "casimir": lambda N, M: {
+        "casimir1": verify_casimir1(N, M),
+        "casimir2": verify_casimir2(N, M),
+    },
+    "qlink": lambda N, M: {"qlink": qlink_report(N, M)},
+}
+SUITES = tuple(_SUITES)
 
 
 @dataclass(frozen=True)
@@ -68,15 +86,9 @@ class RunConfig:
     drift_tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.command not in ("curve", "check", "flow", "pipes"):
+        if self.command not in _HANDLERS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.N < 1 or self.M < 1:
-            raise ValueError(f"N and M must be positive, got ({self.N}, {self.M})")
-        g = math.gcd(self.N, self.M)
-        if g != 1:
-            raise ValueError(
-                f"N and M must be coprime: gcd({self.N}, {self.M}) = {g}"
-            )
+        _require_torus(self.N, self.M)
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.suite != "all" and self.suite not in SUITES:
@@ -153,30 +165,6 @@ def _cmd_curve(cfg: RunConfig) -> tuple[dict, bool, str]:
     return body, True, summary
 
 
-def _check_jobs(cfg: RunConfig) -> list[tuple[str, Callable[[], dict]]]:
-    N, M = cfg.N, cfg.M
-    wanted = SUITES if cfg.suite == "all" else (cfg.suite,)
-    jobs: list[tuple[str, Callable[[], dict]]] = []
-    for suite in wanted:
-        if suite == "jacobi":
-            jobs.append(("jacobi", lambda: verify_jacobi(N, M)))
-        elif suite == "closure":
-            for j in range(1, M + 1):
-                jobs.append((f"closure-level-{j}", lambda j=j: closure_verify(N, M, j)))
-        elif suite == "ladder":
-            jobs.append(("ladder", lambda: verify_ladder(N, M)))
-        elif suite == "involution":
-            jobs.append(("involution", lambda: verify_involution(N, M)))
-        elif suite == "compat":
-            jobs.append(("compat", lambda: verify_compatibility(N, M)))
-        elif suite == "casimir":
-            jobs.append(("casimir1", lambda: verify_casimir1(N, M)))
-            jobs.append(("casimir2", lambda: verify_casimir2(N, M)))
-        elif suite == "qlink":
-            jobs.append(("qlink", lambda: qlink_report(N, M)))
-    return jobs
-
-
 def _normalize_check(name: str, report: dict) -> dict:
     if name == "qlink":
         cases, failures = report["slot_checks"], report["slot_failures"]
@@ -186,7 +174,12 @@ def _normalize_check(name: str, report: dict) -> dict:
 
 
 def _cmd_check(cfg: RunConfig) -> tuple[dict, bool, str]:
-    checks = [_normalize_check(name, fn()) for name, fn in _check_jobs(cfg)]
+    wanted = SUITES if cfg.suite == "all" else (cfg.suite,)
+    checks = [
+        _normalize_check(name, report)
+        for suite in wanted
+        for name, report in _SUITES[suite](cfg.N, cfg.M).items()
+    ]
     failures = [
         {"check": c["name"], "detail": f} for c in checks for f in c["failures"]
     ]
@@ -212,8 +205,11 @@ def _cmd_flow(cfg: RunConfig) -> tuple[dict, bool, str]:
     else:
         state = KPStateNumeric.random(cfg.N, cfg.M, cfg.seed)
     degree = 1 if cfg.degree is None else cfg.degree
-    result = integrate(state, degree, cfg.dt, cfg.T, cfg.record_every)
-    ok = result.max_drift <= cfg.drift_tolerance
+    try:
+        result = integrate(state, degree, cfg.dt, cfg.T, cfg.record_every)
+    except FlowBlowup as exc:
+        result = exc.result
+    ok = result.blowup is None and result.max_drift <= cfg.drift_tolerance
     body = {
         "degree": degree,
         "dt": cfg.dt,
@@ -232,6 +228,9 @@ def _cmd_flow(cfg: RunConfig) -> tuple[dict, bool, str]:
         f"flow ({cfg.N},{cfg.M}) degree {degree}: {result.steps} steps,"
         f" max relative drift {result.max_drift:.3e}"
     )
+    if result.blowup is not None:
+        body["blowup"] = result.blowup
+        summary += f"; state became non-finite at step {result.blowup['step']}"
     return body, ok, summary
 
 
@@ -314,70 +313,45 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"dkp {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="{curve,check,flow,pipes}")
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(_HANDLERS) + "}"
+    )
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         p.add_argument("--N", type=int, required=True, help="sites per row of the torus")
         p.add_argument("--M", type=int, required=True, help="rows of the torus; gcd(N, M) must be 1")
-        p.add_argument("--seed", type=int, default=0, help="64-bit seed for any randomized input (default 0)")
+        p.add_argument("--seed", type=int, help=f"64-bit seed for any randomized input (default {RunConfig.seed})")
         p.add_argument("--out", metavar="PATH", help="write the JSON report to PATH instead of stdout")
+        return p
 
-    p = sub.add_parser("curve", help="spectral curve coefficients and conserved-quantity ledger")
-    common(p)
+    p = command("curve", "spectral curve coefficients and conserved-quantity ledger")
     p.add_argument("--numeric", metavar="PATH", help="JSON state file; adds numeric values of every ledger quantity")
 
-    p = sub.add_parser("check", help="run exact verification suites")
-    common(p)
-    p.add_argument("--suite", choices=SUITES + ("all",), default="all", help="which suite to run (default all)")
+    p = command("check", "run exact verification suites")
+    p.add_argument("--suite", choices=SUITES + ("all",), help=f"which suite to run (default {RunConfig.suite})")
 
-    p = sub.add_parser("flow", help="integrate a hierarchy flow and report conserved-quantity drift")
-    common(p)
-    p.add_argument("--degree", type=int, default=1, help="ledger degree generating the flow (default 1)")
-    p.add_argument("--dt", type=float, default=1e-3, help="RK4 step size (default 1e-3)")
-    p.add_argument("--T", type=float, default=1.0, help="integration horizon (default 1.0)")
+    p = command("flow", "integrate a hierarchy flow and report conserved-quantity drift")
+    p.add_argument("--degree", type=int, help="ledger degree generating the flow (default 1)")
+    p.add_argument("--dt", type=float, help=f"RK4 step size (default {RunConfig.dt})")
+    p.add_argument("--T", type=float, help=f"integration horizon (default {RunConfig.T})")
     p.add_argument("--record-every", type=int, metavar="K", help="include the trajectory, sampled every K steps")
     p.add_argument("--state", metavar="PATH", help="JSON initial state {N, M, t, A, B}; default is seeded uniform [0.5, 1.5]")
-    p.add_argument("--drift-tolerance", type=float, default=1e-6, help="max relative drift for exit status 0 (default 1e-6)")
+    p.add_argument("--drift-tolerance", type=float, help=f"max relative drift for exit status 0 (default {RunConfig.drift_tolerance})")
 
-    p = sub.add_parser("pipes", help="pipe-diagram enumeration, monomial bijection, pairing checks")
-    common(p)
+    p = command("pipes", "pipe-diagram enumeration, monomial bijection, pairing checks")
     p.add_argument("--degree", type=int, help="also list every diagram of this degree as a site-to-piece map")
     p.add_argument("--pairings", action="store_true", help="cross-check the knee-count and bracket-kernel pairing formulas on all pairs")
-    p.add_argument("--sum-zero", action="store_true", dest="sum_zero", help="verify every product group sums to zero, all degree pairs")
+    p.add_argument("--sum-zero", action="store_true", help="verify every product group sums to zero, all degree pairs")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        N=args.N,
-        M=args.M,
-        seed=getattr(args, "seed", 0),
-        suite=getattr(args, "suite", "all"),
-        degree=getattr(args, "degree", None),
-        dt=getattr(args, "dt", 1e-3),
-        T=getattr(args, "T", 1.0),
-        record_every=getattr(args, "record_every", None),
-        state=getattr(args, "state", None),
-        numeric=getattr(args, "numeric", None),
-        out=getattr(args, "out", None),
-        pairings=getattr(args, "pairings", False),
-        sum_zero=getattr(args, "sum_zero", False),
-        drift_tolerance=getattr(args, "drift_tolerance", 1e-6),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        cfg = RunConfig(**vars(args))
         body, ok, summary = _HANDLERS[cfg.command](cfg)
-    except (ValueError, FloatingPointError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {

@@ -138,34 +138,23 @@ def _compiled_flow(N: int, M: int, degree: int) -> list[CompiledPoly]:
 
 @lru_cache(maxsize=None)
 def _first_flow_tables(N: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    kappa, rho = build_kappa(N, M), build_rho(N, M)
-    kt = np.array([[kappa(n, m) for n in range(N)] for m in range(M)], dtype=float)
-    rt = np.array([[rho(n, m) for n in range(N)] for m in range(M)], dtype=float)
-    return kt, rt
+    """The kappa and rho circulants over the flat index m*N + n.
+
+    Entry [s, t] is kappa (rho) at the torus offset from site s to site t.
+    """
+    site = np.arange(N * M)
+    dn = (site[None, :] % N - site[:, None] % N) % N
+    dm = (site[None, :] // N - site[:, None] // N) % M
+    kt = np.array(build_kappa(N, M).values, dtype=float)
+    rt = np.array(build_rho(N, M).values, dtype=float)
+    return kt[dm, dn], rt[dm, dn]
 
 
 def _first_flow_flat(N: int, M: int, flat: np.ndarray) -> np.ndarray:
-    A = flat[: N * M].reshape(M, N)
-    B = flat[N * M :].reshape(M, N)
-    kt, rt = _first_flow_tables(N, M)
-    dA = np.empty((M, N))
-    dB = np.empty((M, N))
-    for m in range(M):
-        for n in range(N):
-            # table[(l-m) % M, (k-n) % N] against A[l, k]
-            ksum = sum(
-                kt[(l - m) % M, (k - n) % N] * A[l, k]
-                for l in range(M)
-                for k in range(N)
-            )
-            rsum = sum(
-                rt[(l - m) % M, (k - n) % N] * A[l, k]
-                for l in range(M)
-                for k in range(N)
-            )
-            dA[m, n] = B[m, n] - B[m, (n + 1) % N] + ksum * A[m, n]
-            dB[m, n] = rsum * B[m, n]
-    return np.concatenate([dA.ravel(), dB.ravel()])
+    A, B = flat[: N * M], flat[N * M :]
+    K, R = _first_flow_tables(N, M)
+    B_next = np.roll(B.reshape(M, N), -1, axis=1).ravel()
+    return np.concatenate([B - B_next + (K @ A) * A, (R @ A) * B])
 
 
 def first_flow_rhs_numeric(state: KPStateNumeric) -> np.ndarray:
@@ -193,6 +182,13 @@ def flow_rhs(degree, state: KPStateNumeric) -> np.ndarray:
 
 @dataclass
 class IntegrationResult:
+    """An RK4 run up to its last finite state.
+
+    ``blowup`` is None for a run that completed, else ``{step, t,
+    max_abs_state}``: the step and time at which the state became
+    non-finite, and the largest magnitude in the last finite state.
+    """
+
     state: KPStateNumeric
     steps: int
     dt: float
@@ -200,25 +196,22 @@ class IntegrationResult:
     q_final: dict[int, float]
     drift: dict[int, float]
     trajectory: list[dict] = field(default_factory=list)
+    blowup: dict | None = None
 
     @property
     def max_drift(self) -> float:
         return max(self.drift.values()) if self.drift else 0.0
 
-    def to_jsonable(self) -> dict:
-        out = {
-            "steps": self.steps,
-            "dt": self.dt,
-            "state": self.state.to_jsonable(),
-            "q_initial": {str(d): v for d, v in self.q_initial.items()},
-            "q_final": {str(d): v for d, v in self.q_final.items()},
-            "drift": {str(d): v for d, v in self.drift.items()},
-        }
-        if self.trajectory:
-            out["trajectory"] = self.trajectory
-        return out
+
+class FlowBlowup(FloatingPointError):
+    """The state became non-finite; ``result`` is the run before that step."""
+
+    def __init__(self, result: IntegrationResult):
+        super().__init__(f"state became non-finite at step {result.blowup['step']}")
+        self.result = result
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     state: KPStateNumeric,
     flow,
@@ -228,8 +221,9 @@ def integrate(
 ) -> IntegrationResult:
     """Fixed-step RK4 with per-step evaluation of every ledger quantity.
 
-    `flow` is "first" or a ledger degree.  Raises on non-finite states.
-    Relative drift of q_d uses |q_d(0)| as the scale (floored at 1e-12).
+    `flow` is "first" or a ledger degree.  Raises FlowBlowup, without numpy
+    warnings, when a step leaves the finite range.  Relative drift of q_d
+    uses |q_d(0)| as the scale (floored at 1e-12).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -250,6 +244,11 @@ def integrate(
             {"t": state.t + i * dt, "state": KPStateNumeric(N, M, f[: N * M], f[N * M :]).to_jsonable()}
         )
 
+    def result(done: int, blowup: dict | None = None) -> IntegrationResult:
+        qf = {d: p(flat) for d, p in ledger.items()}
+        final = KPStateNumeric(N, M, flat[: N * M], flat[N * M :], state.t + done * dt)
+        return IntegrationResult(final, done, dt, q0, qf, drift, trajectory, blowup)
+
     if record_every:
         snap(0, flat)
     for i in range(1, steps + 1):
@@ -257,13 +256,13 @@ def integrate(
         k2 = rhs(flat + 0.5 * dt * k1)
         k3 = rhs(flat + 0.5 * dt * k2)
         k4 = rhs(flat + dt * k3)
-        flat = flat + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(flat)):
-            raise FloatingPointError(f"state became non-finite at step {i}")
+        step = flat + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(step)):
+            blowup = {"step": i, "t": state.t + i * dt, "max_abs_state": float(np.max(np.abs(flat)))}
+            raise FlowBlowup(result(i - 1, blowup))
+        flat = step
         for d, p in ledger.items():
             drift[d] = max(drift[d], abs(p(flat) - q0[d]) / scale[d])
         if record_every and (i % record_every == 0 or i == steps):
             snap(i, flat)
-    qf = {d: p(flat) for d, p in ledger.items()}
-    final = KPStateNumeric(N, M, flat[: N * M], flat[N * M :], state.t + steps * dt)
-    return IntegrationResult(final, steps, dt, q0, qf, drift, trajectory)
+    return result(steps)

@@ -11,7 +11,7 @@ with 0 <= n < N, 0 <= m < M.  This module is the only conversion layer;
 callers may pass arbitrary integers.
 
 This module also owns the torus validator, ``_require_torus``, that lattice,
-curve, poisson, flows and pipes import.  The sign tables are immutable, so
+curve, poisson, flows, pipes and cli import.  The sign tables are immutable, so
 their builders are cached: each table is built once per argument set per
 process.
 """
@@ -30,8 +30,11 @@ Point = tuple[int, int]
 def _require_torus(N: int, M: int) -> None:
     if N < 1 or M < 1:
         raise ValueError(f"torus dimensions must be positive, got ({N}, {M})")
-    if math.gcd(N, M) != 1:
-        raise ValueError(f"torus dimensions must be coprime, got ({N}, {M})")
+    g = math.gcd(N, M)
+    if g != 1:
+        raise ValueError(
+            f"torus dimensions must be coprime, got ({N}, {M}): gcd({N}, {M}) = {g}"
+        )
 
 
 @dataclass(frozen=True)

@@ -202,6 +202,23 @@ class TestFlow:
         assert report is None
         assert "ledger" in err
 
+    def test_blowup_is_a_failed_run(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dkp.cli", "flow", "--N", "4", "--M", "3",
+             "--degree", "5", "--seed", "7"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["blowup"]["step"] == 45
+        assert report["steps"] == 44
+        assert report["blowup"]["t"] == pytest.approx(0.045)
+        assert report["state_final"]["t"] == pytest.approx(0.044)
+        assert report["within_tolerance"] is False
+
     def test_tolerance_failure_exits_1(self, capsys):
         code, report, _ = run_cli(
             capsys, "flow", "--N", "3", "--M", "2", *self.FAST,

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from dkp import poisson
-from dkp.cli import main
+from dkp.cli import RunConfig, build_parser, main
 from dkp.curve import compute_curve
 from dkp.flows import KPStateNumeric
 from dkp.lattice import reduction_levels
@@ -25,6 +25,7 @@ ENTRY_POINTS = {
     "poisson.bracket2_AB": bracket2_AB,
     "flows.KPStateNumeric.random": lambda N, M: KPStateNumeric.random(N, M, seed=0),
     "pipes.enumerate_tpds": lambda N, M: enumerate_tpds(N, M, 1),
+    "cli.RunConfig": lambda N, M: RunConfig(command="check", N=N, M=M),
 }
 
 # Names a module imports only so that callers can import them from it.
@@ -69,6 +70,26 @@ def test_one_torus_validator():
         if isinstance(node, ast.FunctionDef) and node.name == "_require_torus"
     ]
     assert defs == ["torus"]
+
+
+def test_only_the_torus_validator_computes_a_gcd():
+    callers = [
+        name
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "gcd"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "math"
+    ]
+    assert callers == ["torus"]
+
+
+@pytest.mark.parametrize("command", ["curve", "check", "flow", "pipes"])
+def test_parser_defaults_are_the_config_defaults(command):
+    args = build_parser().parse_args([command, "--N", "3", "--M", "2"])
+    assert RunConfig(**vars(args)) == RunConfig(command=command, N=3, M=2)
 
 
 def _unused_imports(tree: ast.Module) -> set[str]:
