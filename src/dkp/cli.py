@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,8 +116,22 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {obj!r}")
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
+    # Strict JSON: NaN and Infinity are not JSON tokens, so they raise here.
+    text = json.dumps(
+        report, indent=2, sort_keys=True, default=_json_default, allow_nan=False
+    ) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -155,9 +170,9 @@ def _cmd_curve(cfg: RunConfig) -> tuple[dict, bool, str]:
         state = _load_state(cfg.numeric, cfg.N, cfg.M)
         flat = state.flat()
         values = {g: float(flat[i]) for g, i in state_index(cfg.N, cfg.M).items()}
-        body["values"] = {
-            f"q_{d}": float(curve.q(d).evaluate(values)) for d in curve.degrees()
-        }
+        body["values"] = _finite_or_null(
+            {f"q_{d}": float(curve.q(d).evaluate(values)) for d in curve.degrees()}
+        )
     summary = (
         f"curve ({cfg.N},{cfg.M}): {len(curve.degrees())} conserved quantities,"
         f" degrees {curve.degrees()}"
@@ -231,7 +246,7 @@ def _cmd_flow(cfg: RunConfig) -> tuple[dict, bool, str]:
     if result.blowup is not None:
         body["blowup"] = result.blowup
         summary += f"; state became non-finite at step {result.blowup['step']}"
-    return body, ok, summary
+    return _finite_or_null(body), ok, summary
 
 
 def _cmd_pipes(cfg: RunConfig) -> tuple[dict, bool, str]:

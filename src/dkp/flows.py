@@ -3,11 +3,11 @@
 Flows run on double-precision A, B arrays.  Two independent right-side
 routes exist: the first flow evaluated directly from the sign-table
 evolution equations, and any ledger flow d obtained by compiling the
-symbolic bracket {g, q_d}_2 once per (N, M, d) into a coefficient/exponent
-table (for d = 1 the two routes agree to machine precision, which the
-tests pin).  Integration is fixed-step classical RK4 for reproducible
-drift numbers; every ledger quantity is evaluated per step and its maximal
-relative drift reported.
+symbolic bracket {g, q_d}_2 once per (N, M, d) into one stacked factor
+table over all 2NM generators (for d = 1 the two routes agree to machine
+precision, which the tests pin).  Integration is fixed-step classical RK4
+for reproducible drift numbers; the whole ledger, one more stacked table,
+is evaluated per step and each quantity's maximal relative drift reported.
 """
 
 from __future__ import annotations
@@ -81,29 +81,40 @@ def state_index(N: int, M: int) -> dict[Gen, int]:
 
 
 class CompiledPoly:
-    """Coefficient/exponent-table evaluation of a polynomial on flat states."""
+    """Stacked evaluation of a list of polynomials on flat states.
 
-    __slots__ = ("coeffs", "exps")
+    A monomial is its run of factors, each an index into the flat state
+    (g**k is k factors g).  The monomials are stored widest first, so factor
+    j of every monomial with more than j factors is the prefix column
+    ``columns[j]``.  A call starts from the coefficients, multiplies the
+    columns in, and sums each monomial into its polynomial (``owner``); a
+    polynomial with no terms comes out as 0.
+    """
 
-    def __init__(self, poly: ExactPoly, index: dict[Gen, int]):
-        rows, coeffs = [], []
-        for mono, q in poly.terms.items():
-            e = np.zeros(len(index), dtype=np.int64)
-            for g, k in mono:
-                e[index[g]] = k
-            rows.append(e)
-            coeffs.append(float(q))
-        self.exps = (
-            np.array(rows, dtype=np.int64)
-            if rows
-            else np.zeros((0, len(index)), dtype=np.int64)
-        )
-        self.coeffs = np.array(coeffs, dtype=float)
+    __slots__ = ("columns", "owner", "coeffs", "count")
 
-    def __call__(self, flat: np.ndarray) -> float:
-        if not self.coeffs.size:
-            return 0.0
-        return float(self.coeffs @ np.prod(flat**self.exps, axis=1))
+    def __init__(self, polys: list[ExactPoly], index: dict[Gen, int]):
+        rows = [
+            ([index[g] for g, k in mono for _ in range(k)], i, float(q))
+            for i, poly in enumerate(polys)
+            for mono, q in poly.terms.items()
+        ]
+        rows.sort(key=lambda row: -len(row[0]))
+        width = len(rows[0][0]) if rows else 0
+        self.columns = [
+            np.array([f[j] for f, _, _ in rows if len(f) > j], dtype=np.intp)
+            for j in range(width)
+        ]
+        self.owner = np.array([i for _, i, _ in rows], dtype=np.intp)
+        self.coeffs = np.array([q for _, _, q in rows], dtype=float)
+        self.count = len(polys)
+
+    def __call__(self, flat: np.ndarray) -> np.ndarray:
+        terms = self.coeffs.copy()
+        for column in self.columns:
+            terms[: len(column)] *= flat.take(column)
+        sums = np.bincount(self.owner, terms, minlength=self.count)
+        return sums.astype(float, copy=False)  # bincount of no weights is int64
 
 
 @lru_cache(maxsize=None)
@@ -112,14 +123,14 @@ def _ab_curve(N: int, M: int) -> SpectralCurve:
 
 
 @lru_cache(maxsize=None)
-def _compiled_ledger(N: int, M: int) -> dict[int, CompiledPoly]:
+def _compiled_ledger(N: int, M: int) -> CompiledPoly:
+    """Every ledger quantity, in the order of ``curve.degrees()``."""
     curve = _ab_curve(N, M)
-    index = state_index(N, M)
-    return {d: CompiledPoly(curve.q(d), index) for d in curve.degrees()}
+    return CompiledPoly([curve.q(d) for d in curve.degrees()], state_index(N, M))
 
 
 @lru_cache(maxsize=None)
-def _compiled_flow(N: int, M: int, degree: int) -> list[CompiledPoly]:
+def _compiled_flow(N: int, M: int, degree: int) -> CompiledPoly:
     """Compiled dg/dt = {g, q_degree}_2 for every generator g, state order."""
     curve = _ab_curve(N, M)
     if degree not in curve.ledger:
@@ -130,10 +141,7 @@ def _compiled_flow(N: int, M: int, degree: int) -> list[CompiledPoly]:
     index = state_index(N, M)
     qd = curve.q(degree)
     order = sorted(index, key=index.get)
-    return [
-        CompiledPoly(bracket_extend(table, ExactPoly.var(g), qd), index)
-        for g in order
-    ]
+    return CompiledPoly([bracket_extend(table, ExactPoly.var(g), qd) for g in order], index)
 
 
 @lru_cache(maxsize=None)
@@ -170,8 +178,7 @@ def _rhs_fn(N: int, M: int, flow):
     """Flat-array tangent evaluator for "first" or a ledger degree."""
     if flow == "first":
         return lambda flat: _first_flow_flat(N, M, flat)
-    compiled = _compiled_flow(N, M, int(flow))
-    return lambda flat: np.array([p(flat) for p in compiled])
+    return _compiled_flow(N, M, int(flow))
 
 
 def flow_rhs(degree, state: KPStateNumeric) -> np.ndarray:
@@ -230,12 +237,13 @@ def integrate(
     if T < 0:
         raise ValueError("T must be nonnegative")
     N, M = state.N, state.M
+    degrees = _ab_curve(N, M).degrees()
     ledger = _compiled_ledger(N, M)
     rhs = _rhs_fn(N, M, flow)
     flat = state.flat()
-    q0 = {d: p(flat) for d, p in ledger.items()}
-    drift = {d: 0.0 for d in ledger}
-    scale = {d: max(abs(v), 1e-12) for d, v in q0.items()}
+    q0 = ledger(flat)
+    drift = np.zeros_like(q0)
+    scale = np.maximum(np.abs(q0), 1e-12)
     steps = int(round(T / dt))
     trajectory: list[dict] = []
 
@@ -244,10 +252,15 @@ def integrate(
             {"t": state.t + i * dt, "state": KPStateNumeric(N, M, f[: N * M], f[N * M :]).to_jsonable()}
         )
 
+    def by_degree(values: np.ndarray) -> dict[int, float]:
+        return dict(zip(degrees, values.tolist()))
+
     def result(done: int, blowup: dict | None = None) -> IntegrationResult:
-        qf = {d: p(flat) for d, p in ledger.items()}
         final = KPStateNumeric(N, M, flat[: N * M], flat[N * M :], state.t + done * dt)
-        return IntegrationResult(final, done, dt, q0, qf, drift, trajectory, blowup)
+        qf = ledger(flat)
+        return IntegrationResult(
+            final, done, dt, by_degree(q0), by_degree(qf), by_degree(drift), trajectory, blowup
+        )
 
     if record_every:
         snap(0, flat)
@@ -261,8 +274,8 @@ def integrate(
             blowup = {"step": i, "t": state.t + i * dt, "max_abs_state": float(np.max(np.abs(flat)))}
             raise FlowBlowup(result(i - 1, blowup))
         flat = step
-        for d, p in ledger.items():
-            drift[d] = max(drift[d], abs(p(flat) - q0[d]) / scale[d])
+        # fmax, not maximum: a NaN value leaves the drift so far in place
+        drift = np.fmax(drift, np.abs(ledger(flat) - q0) / scale)
         if record_every and (i % record_every == 0 or i == steps):
             snap(i, flat)
     return result(steps)

@@ -440,6 +440,14 @@ def _piece_counts(diagrams: Sequence[PipeDiagram], N: int, M: int) -> np.ndarray
     return counts
 
 
+@lru_cache(maxsize=None)
+def _counts_cached(N: int, M: int, degree: int) -> np.ndarray:
+    """The read-only count rows of ``enumerate_tpds(N, M, degree)``."""
+    counts = _piece_counts(_enumerate_cached(N, M, degree), N, M)
+    counts.flags.writeable = False
+    return counts
+
+
 def _pairing_matrices(
     counts1: np.ndarray, counts2: np.ndarray, N: int, M: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -503,8 +511,8 @@ def sum_zero_check(N: int, M: int, degree1: int, degree2: int) -> dict:
     _require_torus(N, M)
     diags1 = enumerate_tpds(N, M, degree1)
     diags2 = enumerate_tpds(N, M, degree2)
-    counts1 = _piece_counts(diags1, N, M)
-    counts2 = _piece_counts(diags2, N, M)
+    counts1 = _counts_cached(N, M, degree1)
+    counts2 = _counts_cached(N, M, degree2)
     knee, kappa_sum = _pairing_matrices(counts1, counts2, N, M)
     disagree = np.argwhere(knee != kappa_sum)
     if len(disagree):
@@ -553,7 +561,7 @@ def decomposition_partners(
     N, M = d1.N, d1.M
     diags1 = enumerate_tpds(N, M, d1.degree)
     diags2 = enumerate_tpds(N, M, d2.degree)
-    _, group = _product_groups(_piece_counts(diags1, N, M), _piece_counts(diags2, N, M))
+    _, group = _product_groups(_counts_cached(N, M, d1.degree), _counts_cached(N, M, d2.degree))
     own = diags1.index(d1) * len(diags2) + diags2.index(d2)
     return [
         (diags1[f // len(diags2)], diags2[f % len(diags2)])

@@ -14,6 +14,10 @@ from dkp.cli import SUITES, RunConfig, main
 ENVELOPE = ("command", "version", "N", "M", "seed")
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
 def run_cli(capsys, *argv: str):
     """Invoke main() in-process; return (exit code, parsed report or None, stderr)."""
     code = main(list(argv))
@@ -139,6 +143,21 @@ class TestCurve:
         # q_1 = -sum A
         assert report["values"]["q_1"] == pytest.approx(-21.0)
 
+    def test_numeric_overflow_is_strict_json(self, capsys, tmp_path):
+        state = {
+            "N": 3,
+            "M": 2,
+            "A": [[1e200, 2e200, 1.0], [1.0, 3e200, 1.0]],
+            "B": [[1e200, 1.0, 5e200], [1.0, 1.0, 1e200]],
+        }
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        code = main(["curve", "--N", "3", "--M", "2", "--numeric", str(path)])
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert code == 0
+        assert report["values"]["q_1"] == pytest.approx(-6e200)
+        assert report["values"]["q_12"] is None
+
     def test_numeric_torus_mismatch(self, capsys, tmp_path):
         path = tmp_path / "state.json"
         path.write_text(json.dumps({"N": 3, "M": 1, "A": [[1, 1, 1]], "B": [[1, 1, 1]]}))
@@ -218,6 +237,14 @@ class TestFlow:
         assert report["blowup"]["t"] == pytest.approx(0.045)
         assert report["state_final"]["t"] == pytest.approx(0.044)
         assert report["within_tolerance"] is False
+
+    def test_blowup_report_is_strict_json(self, capsys):
+        code = main(["flow", "--N", "4", "--M", "3", "--degree", "5", "--seed", "7"])
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert code == 1
+        assert report["blowup"]["step"] == 45
+        assert report["drift"]["q_24"] is None
+        assert report["max_drift"] is None
 
     def test_tolerance_failure_exits_1(self, capsys):
         code, report, _ = run_cli(

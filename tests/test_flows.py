@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dkp import flows
 from dkp.curve import compute_curve
 from dkp.flows import (
     CompiledPoly,
@@ -39,13 +40,100 @@ class TestState:
             - ExactPoly.var(gen_A(1, 1), 2)
             + ExactPoly.const(7)
         )
-        c = CompiledPoly(p, idx)
+        c = CompiledPoly([p], idx)
         s = KPStateNumeric.random(3, 2, seed=9)
         flat = s.flat()
         want = 3 * flat[idx[gen_A(0, 0)]] * flat[idx[gen_B(2, 1)]] - flat[
             idx[gen_A(1, 1)]
         ] ** 2 + 7
-        assert c(flat) == pytest.approx(want, rel=1e-15)
+        assert c(flat)[0] == pytest.approx(want, rel=1e-15)
+
+
+def _random_poly(rng, gens, terms: int, top: int) -> ExactPoly:
+    """Integer-coefficient polynomial over gens, each exponent at most top."""
+    p = ExactPoly.zero()
+    for _ in range(terms):
+        mono = ExactPoly.const(int(rng.choice([-3, -2, -1, 1, 2, 5])))
+        for g in rng.choice(len(gens), size=int(rng.integers(0, 4)), replace=False):
+            mono = mono * ExactPoly.var(gens[g], int(rng.integers(1, top + 1)))
+        p = p + mono
+    return p
+
+
+class TestStackedEvaluation:
+    """One CompiledPoly call against ExactPoly.evaluate, polynomial by polynomial."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_exact_evaluation(self, seed):
+        N, M = 3, 2
+        idx = state_index(N, M)
+        gens = sorted(idx, key=idx.get)
+        rng = np.random.default_rng(seed)
+        flat = rng.uniform(0.5, 1.5, 2 * N * M)
+        values = {g: float(flat[i]) for g, i in idx.items()}
+        # few generators, so each recurs across monomials and polynomials
+        a, b = ExactPoly.var(gens[0]), ExactPoly.var(gens[7])
+        polys = [
+            ExactPoly.const(7),
+            ExactPoly.zero(),
+            a**4 * b - a * a * 3 + ExactPoly.const(-2),
+            *(_random_poly(rng, gens[:5], int(rng.integers(1, 12)), 4) for _ in range(20)),
+            ExactPoly.zero(),
+        ]
+        assert max(k for p in polys for mono in p.terms for _, k in mono) == 4
+        got = CompiledPoly(polys, idx)(flat)
+        assert got.shape == (len(polys),) and got.dtype == float
+        for p, value in zip(polys, got):
+            want = float(p.evaluate(values))
+            # relative to the sum of the term magnitudes, which bounds the roundoff
+            size = float(ExactPoly({m: abs(q) for m, q in p.terms.items()}).evaluate(values))
+            assert abs(value - want) <= 1e-13 * size
+        assert got[1] == got[-1] == 0.0
+
+    def test_all_zero_family(self):
+        idx = state_index(3, 2)
+        got = CompiledPoly([ExactPoly.zero()] * 4, idx)(np.ones(12))
+        assert got.dtype == float and np.array_equal(got, np.zeros(4))
+
+
+class TestLedgerDrift:
+    @pytest.mark.parametrize("N,M", [(3, 2), (4, 3)])
+    def test_matches_per_polynomial_loop(self, N, M):
+        res = integrate(KPStateNumeric.random(N, M, seed=3), 1, 1e-3, 0.05, record_every=1)
+        curve = compute_curve(N, M, "AB")
+        idx = state_index(N, M)
+        states = [KPStateNumeric(N, M, f["state"]["A"], f["state"]["B"]).flat() for f in res.trajectory]
+        want = {}
+        for d in curve.degrees():
+            q = CompiledPoly([curve.q(d)], idx)
+            q0 = q(states[0])[0]
+            drift = 0.0
+            for flat in states[1:]:
+                drift = max(drift, abs(q(flat)[0] - q0) / max(abs(q0), 1e-12))
+            want[d] = drift
+        assert res.steps == 50 and len(states) == 51
+        assert list(res.drift) == curve.degrees()
+        for d in want:
+            assert res.drift[d] == pytest.approx(want[d], rel=1e-12, abs=0)
+
+    def test_nan_value_keeps_earlier_drift(self, monkeypatch):
+        state = KPStateNumeric.random(3, 2, seed=5)
+        before = integrate(state, "first", 1e-2, 0.02)  # two steps
+        ledger = flows._compiled_ledger(3, 2)
+        calls = []
+
+        def third_step_nan(flat):
+            # call 1 is q(0), calls 2-4 are steps 1-3, call 5 is q_final
+            calls.append(None)
+            values = ledger(flat)
+            return np.full_like(values, np.nan) if len(calls) == 4 else values
+
+        monkeypatch.setattr(flows, "_compiled_ledger", lambda N, M: third_step_nan)
+        after = integrate(state, "first", 1e-2, 0.03)
+        assert len(calls) == 5
+        assert all(np.isfinite(v) for v in after.drift.values())
+        assert after.drift == before.drift
+        assert after.max_drift > 0
 
 
 class TestFlowRHS:

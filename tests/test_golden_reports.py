@@ -1,5 +1,5 @@
-"""Golden reports: the exact bytes ``check --suite all`` and ``pipes
---pairings --sum-zero`` produce.
+"""Golden reports: the exact bytes ``check --suite all``, ``curve`` and
+``pipes --pairings --sum-zero`` produce.
 
 Each digest is the SHA-256 of the report with its top-level ``seed`` line
 removed (the rule of ``perfbench/gate.py``).  (4, 3) is a torus the
@@ -30,6 +30,12 @@ GOLDEN_PIPES = {
     (4, 3): "5d2997f3b531fc8710f6131eb64207171b9d8a5158f0af65df99a74a11e71b16",
 }
 
+# The spectral report bytes, as in perfbench/digests.json.
+GOLDEN_CURVE = {
+    (3, 2): "0ef3793843be38ca1c145bd342eb5676825953c5fba944b79d1f4054ed8babf2",
+    (3, 4): "fbb3621e8608afb61d200d44d0fc545a21f6bc91180d7658894e7a6af958c0b2",
+}
+
 
 def _digest(capsys, argv):
     code = main(argv)
@@ -48,3 +54,9 @@ def test_check_all_report_bytes(capsys, N, M):
 def test_pipes_pairings_sum_zero_report_bytes(capsys, N, M):
     argv = ["pipes", "--N", str(N), "--M", str(M), "--pairings", "--sum-zero"]
     assert _digest(capsys, argv) == GOLDEN_PIPES[(N, M)]
+
+
+@pytest.mark.parametrize("N,M", sorted(GOLDEN_CURVE))
+def test_curve_report_bytes(capsys, N, M):
+    argv = ["curve", "--N", str(N), "--M", str(M)]
+    assert _digest(capsys, argv) == GOLDEN_CURVE[(N, M)]

@@ -506,6 +506,27 @@ class TestMatrixFormOracle:
                 assert decomposition_partners(a, b) == reference_partners(a, b)
                 assert decomposition_partners(b, a) == reference_partners(b, a)
 
+    def test_sum_zero_builds_each_count_matrix_once(self, monkeypatch):
+        built = []
+        piece_counts = pipes._piece_counts
+
+        def counting(diagrams, N, M):
+            built.append(len(diagrams))
+            return piece_counts(diagrams, N, M)
+
+        monkeypatch.setattr(pipes, "_piece_counts", counting)
+        pipes._counts_cached.cache_clear()
+        try:
+            for d1 in range(7):
+                for d2 in range(d1, 7):
+                    sum_zero_check(3, 2, d1, d2)
+            assert len(built) == 7
+            counts = pipes._counts_cached(3, 2, 2)
+            assert not counts.flags.writeable
+            assert np.array_equal(counts, piece_counts(enumerate_tpds(3, 2, 2), 3, 2))
+        finally:
+            pipes._counts_cached.cache_clear()
+
     def test_pairing_matrices_are_int64(self):
         counts = pipes._piece_counts(enumerate_tpds(4, 3, 5), 4, 3)
         knee, kappa_sum = pipes._pairing_matrices(counts, counts, 4, 3)
