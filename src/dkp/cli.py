@@ -94,6 +94,10 @@ class RunConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.suite != "all" and self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; pick from {sorted(SUITES + ('all',))}")
+        finite = {"--dt": self.dt, "--T": self.T, "--drift-tolerance": self.drift_tolerance}
+        for flag, value in finite.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{flag} must be a finite number, got {value}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.T < 0:

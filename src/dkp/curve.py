@@ -116,7 +116,14 @@ def _band_for_mode(N: int, M: int, mode: str) -> LevelData:
 def compute_curve(N: int, M: int, mode: str = "AB") -> SpectralCurve:
     """Exact spectral curve, normalized so the alpha^M constant slot is +1."""
     _require_torus(N, M)
-    band = _band_for_mode(N, M, mode)
+    coefficients = _curve_slots(N, M, _band_for_mode(N, M, mode))
+    ledger = _build_ledger(N, M, coefficients)
+    return SpectralCurve(N=N, M=M, mode=mode.lower(), coefficients=coefficients, ledger=ledger)
+
+
+def _curve_slots(N: int, M: int, band: LevelData) -> dict[tuple[int, int], ExactPoly]:
+    """The nonzero alpha^a beta^b slots of det(C_alpha - beta) for a level-1
+    band, signed so the constant slot at (M, 0) is +1."""
     det = det_minor_expansion(c_alpha_minus_beta(N, M, band))
     slots = det.alpha_beta_decomposition()
 
@@ -128,10 +135,7 @@ def compute_curve(N: int, M: int, mode: str = "AB") -> SpectralCurve:
         raise ValueError(f"alpha^M slot must be +-1, got {pv}")
     if pv == -1:
         slots = {ab: -p for ab, p in slots.items()}
-
-    coefficients = {ab: p for ab, p in slots.items() if p}
-    ledger = _build_ledger(N, M, coefficients)
-    return SpectralCurve(N=N, M=M, mode=mode.lower(), coefficients=coefficients, ledger=ledger)
+    return {ab: p for ab, p in slots.items() if p}
 
 
 def _build_ledger(

@@ -18,7 +18,10 @@ both knees.  The *degree* of a diagram is its number of horizontal pieces.
 Closed diagrams of degree d are in bijection with the pure-A monomials of
 the degree-d conserved quantity of the spectral curve after the substitution
 B = 0: the horizontal pieces sit exactly at the sites whose A-variables occur
-in the monomial, and the knees are then forced.  The intersection pairing
+in the monomial, and the knees are then forced.  The bijection never forms
+the full A, B curve: B = 0 is a ring homomorphism, so it commutes with the
+determinant, and `monomial_tpd_bijection` sets B = 0 in the level-1 band
+and computes the determinant at B = 0 directly.  The intersection pairing
 
     <d1, d2> = #{sites: d1 left-down knee and d2 horizontal}
              - #{sites: d1 up-right knee and d2 horizontal}
@@ -68,8 +71,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .curve import compute_curve
-from .symalg import ExactPoly, Scalar, gen_B, poly_A
+from .curve import _curve_slots, realizable_degrees, slot_degree
+from .lattice import reduction_levels
+from .symalg import ExactPoly, Gen, Scalar, gen_B, poly_A
 from .torus import _require_torus, build_kappa
 
 Site = tuple[int, int]
@@ -314,6 +318,19 @@ def pure_A_monomials(poly: ExactPoly) -> list[tuple[frozenset[Site], Scalar]]:
     return out
 
 
+def _b_zero(N: int, M: int) -> dict[Gen, int]:
+    """The substitution B = 0 on every site of the torus."""
+    return {gen_B(n, m): 0 for n in range(N) for m in range(M)}
+
+
+def _b0_slots(N: int, M: int) -> dict[tuple[int, int], ExactPoly]:
+    """The normalized spectral-curve slots at B = 0, from the determinant of
+    the level-1 band with B set to 0 (see the module docstring)."""
+    b_zero = _b_zero(N, M)
+    band = {key: p.substitute(b_zero) for key, p in reduction_levels(N, M)[1].items()}
+    return _curve_slots(N, M, band)
+
+
 def monomial_tpd_bijection(N: int, M: int) -> dict:
     """Match the pure-A monomials of every conserved quantity with diagrams.
 
@@ -325,27 +342,25 @@ def monomial_tpd_bijection(N: int, M: int) -> dict:
     knee completion fails closure raises: it would break the bijection.
     """
     _require_torus(N, M)
-    curve = compute_curve(N, M, mode="AB")
     NM = N * M
     supports_by_degree: dict[int, list[frozenset[Site]]] = {d: [] for d in range(1, NM + 1)}
     coeffs_by_support: dict[frozenset[Site], Scalar] = {}
-    high_degrees: dict[int, int] = {}
-    for d in curve.degrees():
-        monos = pure_A_monomials(curve.q(d))
+    for (a, b), poly in _b0_slots(N, M).items():
+        if poly.is_constant():
+            continue  # the degree-0 slots (M, 0) and (0, N)
+        d = slot_degree(N, M, a, b)
         if d > NM:
-            if monos:
-                raise RuntimeError(
-                    f"q_{d} kept a pure-A monomial of degree above the site count {NM}"
-                )
-            high_degrees[d] = 0
-            continue
-        for support, coeff in monos:
+            raise RuntimeError(
+                f"q_{d} kept a pure-A monomial of degree above the site count {NM}"
+            )
+        for support, coeff in pure_A_monomials(poly):
             if len(support) != d:
                 raise RuntimeError(
                     f"pure-A monomial of q_{d} has {len(support)} factors, expected {d}"
                 )
             supports_by_degree[d].append(support)
             coeffs_by_support[support] = coeff
+    high_degrees = {d: 0 for d in sorted(realizable_degrees(N, M)) if d > NM}
 
     per_degree: dict[int, dict] = {}
     monomial_to_diagram: dict[frozenset[Site], PipeDiagram] = {}
@@ -584,7 +599,7 @@ def bracket_b0_check(
 
     _require_torus(N, M)
     table = bracket2_AB(N, M)
-    b_zero = {gen_B(n, m): 0 for n in range(N) for m in range(M)}
+    b_zero = _b_zero(N, M)
     diags1 = enumerate_tpds(N, M, degree1)
     diags2 = enumerate_tpds(N, M, degree2)
     pairs = [(d1, d2) for d1 in diags1 for d2 in diags2]

@@ -186,6 +186,16 @@ class TestFlow:
         assert report["state_final"]["N"] == 3
         assert report["state_initial"]["t"] == 0.0
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--T", "inf"), ("--dt", "nan"), ("--T", "nan"), ("--drift-tolerance", "nan"), ("--dt", "inf")],
+    )
+    def test_non_finite_option_is_a_config_error(self, capsys, option, value):
+        code, report, err = run_cli(capsys, "flow", "--N", "3", "--M", "2", option, value)
+        assert code == 2
+        assert report is None
+        assert err == f"error: {option} must be a finite number, got {value}\n"
+
     def test_record_every(self, capsys):
         code, report, _ = run_cli(
             capsys, "flow", "--N", "3", "--M", "2", *self.FAST, "--record-every", "10"

@@ -197,6 +197,26 @@ class TestBijection:
             assert row["monomials"] == row["diagrams"], (N, M, d)
         # every ledger degree above the site count keeps no pure-A monomial
         assert all(v == 0 for v in report["high_degree_monomials"].values())
+        ledger = compute_curve(N, M, "AB").degrees()
+        assert sorted(report["high_degree_monomials"]) == [d for d in ledger if d > N * M]
+
+    @pytest.mark.parametrize("N,M", [(3, 2), (2, 3), (4, 3), (5, 2), (3, 4)])
+    def test_b0_slots_restrict_the_ab_curve(self, N, M):
+        # the bijection's B = 0 determinant against B = 0 applied afterwards
+        b_zero = {gen_B(n, m): 0 for n in range(N) for m in range(M)}
+        restricted = {
+            ab: p.substitute(b_zero) for ab, p in compute_curve(N, M, "AB").coefficients.items()
+        }
+        slots = pipes._b0_slots(N, M)
+        assert slots == {ab: p for ab, p in restricted.items() if p}
+        assert slots[(M, 0)] == 1 and slots[(0, N)] == -1
+
+    def test_pure_a_slot_above_the_site_count_raises(self, monkeypatch):
+        # slot (-1, 1) of (3, 2) has degree 7 > NM = 6
+        slots = pipes._b0_slots(3, 2)
+        monkeypatch.setattr(pipes, "_b0_slots", lambda N, M: {**slots, (-1, 1): poly_A(0, 0)})
+        with pytest.raises(RuntimeError, match="above the site count 6"):
+            monomial_tpd_bijection(3, 2)
 
     @pytest.mark.parametrize("N,M,total", [(3, 2, 15), (5, 2, 63), (4, 3, 111)])
     def test_total_counts(self, N, M, total):
