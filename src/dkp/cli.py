@@ -14,6 +14,10 @@ argparse's own usage errors.
 
 ``RunConfig`` holds every option default: the parser leaves an option it was
 not given out of the namespace, so the field default applies.
+
+The numpy layers (``flows``, ``pipes``) are imported inside the subcommands
+that use them, so ``check``, plain ``curve`` and ``--version`` start without
+numpy.
 """
 
 from __future__ import annotations
@@ -28,13 +32,6 @@ from pathlib import Path
 
 from . import __version__
 from .curve import compute_curve
-from .flows import FlowBlowup, KPStateNumeric, integrate, state_index
-from .pipes import (
-    enumerate_tpds,
-    monomial_tpd_bijection,
-    sum_zero_check,
-    verify_pairing_consistency,
-)
 from .poisson import (
     closure_verify,
     qlink_report,
@@ -142,7 +139,9 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_state(path: str, N: int, M: int) -> KPStateNumeric:
+def _load_state(path: str, N: int, M: int):
+    from .flows import KPStateNumeric
+
     try:
         data = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -171,6 +170,8 @@ def _cmd_curve(cfg: RunConfig) -> tuple[dict, bool, str]:
     curve = compute_curve(cfg.N, cfg.M)
     body = curve.to_jsonable()
     if cfg.numeric:
+        from .flows import state_index
+
         state = _load_state(cfg.numeric, cfg.N, cfg.M)
         flat = state.flat()
         values = {g: float(flat[i]) for g, i in state_index(cfg.N, cfg.M).items()}
@@ -219,6 +220,8 @@ def _cmd_check(cfg: RunConfig) -> tuple[dict, bool, str]:
 
 
 def _cmd_flow(cfg: RunConfig) -> tuple[dict, bool, str]:
+    from .flows import FlowBlowup, KPStateNumeric, integrate
+
     if cfg.state:
         state = _load_state(cfg.state, cfg.N, cfg.M)
     else:
@@ -254,6 +257,13 @@ def _cmd_flow(cfg: RunConfig) -> tuple[dict, bool, str]:
 
 
 def _cmd_pipes(cfg: RunConfig) -> tuple[dict, bool, str]:
+    from .pipes import (
+        enumerate_tpds,
+        monomial_tpd_bijection,
+        sum_zero_check,
+        verify_pairing_consistency,
+    )
+
     N, M = cfg.N, cfg.M
     bijection = monomial_tpd_bijection(N, M)
     body: dict = {

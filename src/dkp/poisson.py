@@ -14,18 +14,25 @@ orientation is pinned by the classical single-layer limit {A(n), B(n)}_1
 implementation negates it (BRACKET1_SIGN below); the identity suite keeps
 both orientations visible in its reports.
 
-A table extends to polynomials (``bracket_extend``) in gradient form,
-{f, g} = sum_a df/dx_a * sum_b dg/dx_b * {x_a, x_b}, on packed monomials:
-each table numbers its generators (the universe, then alpha and beta), and
-a monomial is one int in which exponent e of generator i contributes
-e << (i * 32), a signed 32-bit field.  A monomial product is then one int
-addition.  Exponents must stay below 2**29 in magnitude (OverflowError
-otherwise, never a wrapped result), and a generator outside the table
-raises ValueError.
+A table extends to polynomials in gradient form, {f, g} = sum_a df/dx_a *
+sum_b dg/dx_b * {x_a, x_b}, by one packed kernel
+(``BracketTable._bracket_into``): each table numbers its generators (the
+universe, then alpha and beta), and a monomial is one int in which exponent
+e of generator i contributes e << (i * 32), a signed 32-bit field, so a
+monomial product is one int addition (the packed exponent vectors of
+Monagan and Pearce, CASC 2007).  Exponents must stay below 2**29 in
+magnitude (OverflowError otherwise, never a wrapped result), and a
+generator outside the table raises ValueError.  ``bracket_extend`` is
+gradients -> kernel -> unpack into an ``ExactPoly``.
 
 Each bracket table (``bracket2_AB``, ``bracket2_c`` per level j,
 ``bracket1_c``) is built once per (N, M, j) per process and shared by every
-suite, together with the entries and packed rows it has cached.
+suite, together with its cached entries, their packed form and the packed
+gradient of each entry {x_b, x_c}.  The suites stay packed: a Jacobiator is
+one packed dict built from cached entry gradients, a ledger polynomial's
+gradient is computed once per table, and a packed bracket is zero when no
+coefficient is nonzero, equal to another when the two dicts agree after
+dropping zero coefficients.
 
 All verification routines return plain-dict reports listing every failing
 tuple; an empty failure list means the identity holds exactly.
@@ -64,6 +71,11 @@ _HALF = 1 << (_FIELD - 1)
 # Three exponents add up in one bracket term, so each stays below 2**29.
 _EXP_LIMIT = 1 << (_FIELD - 3)
 
+# A packed polynomial maps packed monomials to coefficients; a packed
+# gradient maps a universe index a to the packed dp/dx_a.
+Packed = dict[int, Scalar]
+Gradient = dict[int, Packed]
+
 
 # --------------------------------------------------------------------- tables
 
@@ -74,7 +86,8 @@ class BracketTable:
     For the packed bracket the table numbers its generators: the universe
     in its given order, then ``alpha`` and ``beta``, which bracket to zero
     with everything.  Entries are cached once as ``ExactPoly`` (by
-    :meth:`entry`) and once in packed form (by :func:`bracket_extend`).
+    :meth:`entry`), and once per table in packed form together with their
+    packed gradients, which the suites share.
     """
 
     def __init__(
@@ -97,7 +110,8 @@ class BracketTable:
         self._gens = gens
         self._order = sorted(range(len(gens)), key=gens.__getitem__)
         self._bias = sum(_HALF * u for u in self._unit.values())
-        self._rows: dict[int, dict[int, dict[int, Scalar]]] = {}
+        self._rows: dict[int, dict[int, Packed]] = {}
+        self._entry_grads: dict[tuple[int, int], Gradient] = {}
 
     def entry(self, g1: Gen, g2: Gen) -> ExactPoly:
         if g1 in (ALPHA, BETA) or g2 in (ALPHA, BETA):
@@ -133,16 +147,19 @@ class BracketTable:
     def _mono(self, key: int) -> tuple:
         """Unpack a packed monomial into a sorted tuple of (generator, exponent)."""
         # The bias lifts every signed field to an unsigned 32-bit word.
-        raw =(key + self._bias).to_bytes(4 * len(self._gens), sys.byteorder)
+        raw = (key + self._bias).to_bytes(4 * len(self._gens), sys.byteorder)
         words = memoryview(raw).cast("I")
         return tuple(
             (self._gens[i], words[i] - _HALF) for i in self._order if words[i] != _HALF
         )
 
-    def _gradient(self, p: ExactPoly) -> dict[int, dict[int, Scalar]]:
+    def _pack(self, p: ExactPoly) -> Packed:
+        return {self._key(mono): q for mono, q in p.terms.items()}
+
+    def _gradient(self, p: ExactPoly) -> Gradient:
         """Packed dp/dx_a for every universe generator x_a that p contains."""
         unit, index = self._unit, self._index
-        grad: dict[int, dict[int, Scalar]] = {}
+        grad: Gradient = {}
         for mono, q in p.terms.items():
             key = self._key(mono)
             for gen, e in mono:
@@ -152,17 +169,59 @@ class BracketTable:
                     grad.setdefault(a, {})[key - unit[gen]] = q * e
         return grad
 
-    def _pack(self, p: ExactPoly) -> dict[int, Scalar]:
-        return {self._key(mono): q for mono, q in p.terms.items()}
+    def _entry_gradient(self, a: int, b: int) -> Gradient:
+        """The packed gradient of {x_a, x_b}, computed once per table."""
+        grad = self._entry_grads.get((a, b))
+        if grad is None:
+            grad = self._entry_grads[(a, b)] = self._gradient(
+                self.entry(self.universe[a], self.universe[b])
+            )
+        return grad
+
+    def _bracket_into(self, acc: Packed, df: Gradient, dg: Gradient) -> None:
+        """acc += sum_a df_a * sum_b dg_b * {x_a, x_b}, all packed.
+
+        The one bracket kernel: df and dg are packed gradients (from
+        :meth:`_gradient` or :meth:`_entry_gradient`), and zero coefficients
+        may remain in acc.
+        """
+        rows = self._rows
+        for a, dfa in df.items():
+            # {x_a, x_b} is packed once per table, from the entry cache.
+            row = rows.get(a)
+            if row is None:
+                row = rows[a] = {}
+            inner: Packed = {}
+            for b, dgb in dg.items():
+                entry = row.get(b)
+                if entry is None:
+                    entry = row[b] = self._pack(self.entry(self.universe[a], self.universe[b]))
+                if entry:
+                    _mul_into(inner, dgb, entry)
+            inner = {k: q for k, q in inner.items() if q}
+            if inner:
+                _mul_into(acc, dfa, inner)
 
 
-def _mul_into(acc: dict[int, Scalar], p: dict[int, Scalar], q: dict[int, Scalar]) -> None:
+def _mul_into(acc: Packed, p: Packed, q: Packed) -> None:
     """acc += p * q on packed polynomials (zero coefficients may remain)."""
     get = acc.get
     for k1, c1 in p.items():
         for k2, c2 in q.items():
             k = k1 + k2
             acc[k] = get(k, 0) + c1 * c2
+
+
+def _nonzero(p: Packed) -> Packed:
+    """p without its zero coefficients: equal polynomials give equal dicts."""
+    return {k: q for k, q in p.items() if q}
+
+
+def _same_packing(t1: BracketTable, t2: BracketTable) -> None:
+    """Packed data of two tables mix only when they number generators alike."""
+    assert t1.universe == t2.universe, (
+        f"{t1.kind} and {t2.kind} number their generators differently"
+    )
 
 
 def bracket_extend(table: BracketTable, f: ExactPoly, g: ExactPoly) -> ExactPoly:
@@ -180,42 +239,9 @@ def bracket_extend(table: BracketTable, f: ExactPoly, g: ExactPoly) -> ExactPoly
     a table entry (three such exponents add up in one result monomial, and
     the sum must stay inside the field).
     """
-    ft, gt = f.terms, g.terms
-    if not ft or not gt:
-        return ExactPoly()
-    if len(ft) == 1 and len(gt) == 1:
-        # One generator against one generator: the scaled table entry.
-        ((mf, cf),) = ft.items()
-        ((mg, cg),) = gt.items()
-        if len(mf) == 1 and len(mg) == 1 and mf[0][1] == 1 and mg[0][1] == 1:
-            br = table.entry(mf[0][0], mg[0][0])
-            return br if cf * cg == 1 else br * (cf * cg)
-    df = table._gradient(f)
-    dg = table._gradient(g) if df else {}
-    acc: dict[int, Scalar] = {}
-    for a, dfa in df.items():
-        # {x_a, x_b} is packed once per table, from the entry cache.
-        row = table._rows.setdefault(a, {})
-        inner: dict[int, Scalar] = {}
-        for b, dgb in dg.items():
-            entry = row.get(b)
-            if entry is None:
-                entry = row[b] = table._pack(table.entry(table.universe[a], table.universe[b]))
-            if entry:
-                _mul_into(inner, dgb, entry)
-        inner = {k: q for k, q in inner.items() if q}
-        if inner:
-            _mul_into(acc, dfa, inner)
+    acc: Packed = {}
+    table._bracket_into(acc, table._gradient(f), table._gradient(g))
     return ExactPoly({table._mono(k): q for k, q in acc.items() if q})
-
-
-def jacobi_defect(table: BracketTable, g1: ExactPoly, g2: ExactPoly, g3: ExactPoly) -> ExactPoly:
-    """{g1,{g2,g3}} + {g2,{g3,g1}} + {g3,{g1,g2}} under the table's bracket."""
-    return (
-        bracket_extend(table, g1, bracket_extend(table, g2, g3))
-        + bracket_extend(table, g2, bracket_extend(table, g3, g1))
-        + bracket_extend(table, g3, bracket_extend(table, g1, g2))
-    )
 
 
 # ------------------------------------------------------------- bracket2 on A,B
@@ -362,15 +388,36 @@ def closure_verify(N: int, M: int, j: int = 1) -> dict:
     table = bracket2_AB(N, M)
     closed_form = bracket2_c(N, M, j)
     gens = c_generators(N, M, j)
+    packed = {g: table._pack(expansion[g]) for g in gens}
+    grads = [table._gradient(expansion[g]) for g in gens]
+    # closed-form monomial -> its packed expansion, built once per level
+    substituted: dict[tuple, Packed] = {}
+
+    def substitute(mono: tuple) -> Packed:
+        out: Packed = {0: 1}
+        for gen, e in mono:
+            for _ in range(e):
+                prod: Packed = {}
+                _mul_into(prod, out, packed[gen])
+                out = prod
+        return out
+
     failures = []
     cases = 0
     for a in range(len(gens)):
         for b in range(a, len(gens)):
             g1, g2 = gens[a], gens[b]
             cases += 1
-            closed = closed_form.entry(g1, g2)
-            direct = bracket_extend(table, expansion[g1], expansion[g2])
-            if closed.substitute(expansion) != direct:
+            closed: Packed = {}
+            for mono, q in closed_form.entry(g1, g2).terms.items():
+                sub = substituted.get(mono)
+                if sub is None:
+                    sub = substituted[mono] = substitute(mono)
+                for k, c in sub.items():
+                    closed[k] = closed.get(k, 0) + q * c
+            direct: Packed = {}
+            table._bracket_into(direct, grads[a], grads[b])
+            if _nonzero(closed) != _nonzero(direct):
                 failures.append({"pair": [list(g1), list(g2)]})
     return {
         "identity": "closure",
@@ -426,25 +473,40 @@ def bracket1_c(N: int, M: int) -> BracketTable:
 # ------------------------------------------------------------ identity suites
 
 
-def _cgen_polys(N: int, M: int) -> list[ExactPoly]:
-    return [ExactPoly.var(g) for g in c_generators(N, M, 1)]
+def _var_gradient(a: int) -> Gradient:
+    """The packed gradient of the universe generator x_a."""
+    return {a: {0: 1}}
+
+
+def _cyclic_into(
+    acc: Packed, outer: BracketTable, inner: BracketTable, triple: tuple[int, int, int]
+) -> None:
+    """acc += {x_a, {x_b, x_c}_inner}_outer summed over the cyclic orders of
+    the generator triple, from the cached packed entry gradients."""
+    x, y, z = triple
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        outer._bracket_into(acc, _var_gradient(a), inner._entry_gradient(b, c))
+
+
+def _triple_repr(gens: Sequence[Gen], triple: tuple[int, int, int]) -> list[str]:
+    return [repr(ExactPoly.var(gens[t])) for t in triple]
 
 
 def verify_compatibility(N: int, M: int) -> dict:
     """Mixed Jacobiator of the bracket pair over all distinct generator triples."""
     t1 = bracket1_c(N, M)
     t2 = bracket2_c(N, M, 1)
-    gens = _cgen_polys(N, M)
+    _same_packing(t1, t2)
+    gens = c_generators(N, M, 1)
     failures = []
     cases = 0
-    for x, y, z in itertools.combinations(gens, 3):
+    for triple in itertools.combinations(range(len(gens)), 3):
         cases += 1
-        defect = ExactPoly.zero()
-        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            defect = defect + bracket_extend(t2, a, bracket_extend(t1, b, c))
-            defect = defect + bracket_extend(t1, a, bracket_extend(t2, b, c))
-        if defect:
-            failures.append({"triple": [repr(t) for t in (x, y, z)]})
+        defect: Packed = {}
+        _cyclic_into(defect, t2, t1, triple)
+        _cyclic_into(defect, t1, t2, triple)
+        if any(defect.values()):
+            failures.append({"triple": _triple_repr(gens, triple)})
     return {
         "identity": "compatibility",
         "N": N,
@@ -505,10 +567,15 @@ def verify_ladder(N: int, M: int) -> dict:
     curve = compute_curve(N, M, "band")
     t1 = bracket1_c(N, M)
     t2 = bracket2_c(N, M, 1)
-    gens = _cgen_polys(N, M)
+    # The two sides are compared as packed dicts, keyed alike only when both
+    # tables number c_generators(N, M, 1) in the same order.
+    _same_packing(t1, t2)
+    gens = c_generators(N, M, 1)
     failures = []
     cases = 0
     pairs = ladder_pairs(curve)
+    d1 = {hi: t1._gradient(curve.q(hi)) for hi, _ in pairs}
+    d2 = {lo: t2._gradient(curve.q(lo)) for _, lo in pairs}
     in_row = {}
     for hi, lo in pairs:
         ehi, elo = curve.ledger[hi], curve.ledger[lo]
@@ -516,10 +583,14 @@ def verify_ladder(N: int, M: int) -> dict:
             elo.alpha_exp,
             elo.beta_exp,
         )
-        for g in gens:
+        for c, g in enumerate(gens):
             cases += 1
-            if bracket_extend(t1, ehi.poly, g) != bracket_extend(t2, elo.poly, g):
-                failures.append({"pair_degrees": [hi, lo], "generator": repr(g)})
+            lhs: Packed = {}
+            rhs: Packed = {}
+            t1._bracket_into(lhs, d1[hi], _var_gradient(c))
+            t2._bracket_into(rhs, d2[lo], _var_gradient(c))
+            if _nonzero(lhs) != _nonzero(rhs):
+                failures.append({"pair_degrees": [hi, lo], "generator": repr(ExactPoly.var(g))})
     return {
         "identity": "ladder",
         "N": N,
@@ -538,14 +609,16 @@ def verify_involution(N: int, M: int) -> dict:
     t1 = bracket1_c(N, M)
     t2 = bracket2_c(N, M, 1)
     degrees = curve.degrees()
+    grads = {t: {d: t._gradient(curve.q(d)) for d in degrees} for t in (t1, t2)}
     failures = []
     cases = 0
     for d1, d2 in itertools.combinations(degrees, 2):
         cases += 1
-        if bracket_extend(t2, curve.q(d1), curve.q(d2)):
-            failures.append({"pair_degrees": [d1, d2], "bracket": 2})
-        if bracket_extend(t1, curve.q(d1), curve.q(d2)):
-            failures.append({"pair_degrees": [d1, d2], "bracket": 1})
+        for table, bracket in ((t2, 2), (t1, 1)):
+            acc: Packed = {}
+            table._bracket_into(acc, grads[table][d1], grads[table][d2])
+            if any(acc.values()):
+                failures.append({"pair_degrees": [d1, d2], "bracket": bracket})
     return {
         "identity": "involution",
         "N": N,
@@ -557,21 +630,31 @@ def verify_involution(N: int, M: int) -> dict:
 
 
 def _casimir_suite(
-    curve: SpectralCurve, table: BracketTable, casimirs: list[int], gens: list[ExactPoly]
+    curve: SpectralCurve, table: BracketTable, casimirs: list[int]
 ) -> tuple[int, list, dict[int, bool]]:
     """Vanishing on the Casimir set, plus a nonvanishing witness off it."""
     failures = []
     cases = 0
     witnesses: dict[int, bool] = {}
+
+    def moves(dq: Gradient, c: int) -> bool:
+        acc: Packed = {}
+        table._bracket_into(acc, dq, _var_gradient(c))
+        return any(acc.values())
+
+    gens = range(len(table.universe))
     for d in curve.degrees():
+        dq = table._gradient(curve.q(d))
         if d in casimirs:
-            for g in gens:
+            for c in gens:
                 cases += 1
-                if bracket_extend(table, curve.q(d), g):
-                    failures.append({"degree": d, "generator": repr(g)})
+                if moves(dq, c):
+                    failures.append(
+                        {"degree": d, "generator": repr(ExactPoly.var(table.universe[c]))}
+                    )
         else:
             cases += 1
-            found = any(bracket_extend(table, curve.q(d), g) for g in gens)
+            found = any(moves(dq, c) for c in gens)
             witnesses[d] = found
             if not found:
                 failures.append({"degree": d, "reason": "unexpected Casimir"})
@@ -582,10 +665,9 @@ def verify_casimir2(N: int, M: int) -> dict:
     """Beta-free ledger entries kill bracket 2; all others move something."""
     curve = compute_curve(N, M, "band")
     t2 = bracket2_c(N, M, 1)
-    gens = _cgen_polys(N, M)
     expected_set = [k * N for k in range(1, 2 * M + 1)]
     casimirs = curve.casimir2_degrees()
-    cases, failures, witnesses = _casimir_suite(curve, t2, casimirs, gens)
+    cases, failures, witnesses = _casimir_suite(curve, t2, casimirs)
     if casimirs != expected_set:
         failures.append(
             {"reason": "set mismatch", "got": casimirs, "expected": expected_set}
@@ -611,11 +693,10 @@ def verify_casimir1(N: int, M: int) -> dict:
     """
     curve = compute_curve(N, M, "band")
     t1 = bracket1_c(N, M)
-    gens = _cgen_polys(N, M)
     casimirs = curve.casimir1_degrees()
     degrees = set(curve.degrees())
     degree_rule = sorted(d for d in degrees if d - M not in degrees)
-    cases, failures, witnesses = _casimir_suite(curve, t1, casimirs, gens)
+    cases, failures, witnesses = _casimir_suite(curve, t1, casimirs)
     return {
         "identity": "casimir1",
         "N": N,
@@ -762,23 +843,22 @@ def verify_jacobi(N: int, M: int) -> dict:
     identically.
     """
     _require_torus(N, M)
-    tables: dict[str, tuple[BracketTable, list[ExactPoly]]] = {
-        "bracket2_AB": (
-            bracket2_AB(N, M),
-            [ExactPoly.var(g) for g in ab_generators(N, M)],
-        ),
-        "bracket2_c": (bracket2_c(N, M, 1), _cgen_polys(N, M)),
-        "bracket1_c": (bracket1_c(N, M), _cgen_polys(N, M)),
+    tables = {
+        "bracket2_AB": bracket2_AB(N, M),
+        "bracket2_c": bracket2_c(N, M, 1),
+        "bracket1_c": bracket1_c(N, M),
     }
     failures = []
     cases = 0
     per_table: dict[str, int] = {}
-    for name, (table, gens) in tables.items():
+    for name, table in tables.items():
         start = cases
-        for x, y, z in itertools.combinations(gens, 3):
+        for triple in itertools.combinations(range(len(table.universe)), 3):
             cases += 1
-            if jacobi_defect(table, x, y, z):
-                failures.append({"table": name, "triple": [repr(t) for t in (x, y, z)]})
+            defect: Packed = {}
+            _cyclic_into(defect, table, table, triple)
+            if any(defect.values()):
+                failures.append({"table": name, "triple": _triple_repr(table.universe, triple)})
         per_table[name] = cases - start
     return {
         "identity": "jacobi",

@@ -364,3 +364,19 @@ def test_module_invocation():
     assert report["command"] == "check"
     assert report["ok"] is True
     assert proc.stderr.strip().endswith("0 failures")
+
+
+def test_check_and_curve_do_not_import_numpy(tmp_path):
+    # only flow, pipes and curve --numeric use the numpy layers
+    script = (
+        "import sys\n"
+        "from dkp.cli import main\n"
+        f"assert main(['check', '--N', '3', '--M', '2', '--out', {str(tmp_path / 'check.json')!r}]) == 0\n"
+        f"assert main(['curve', '--N', '3', '--M', '2', '--out', {str(tmp_path / 'curve.json')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

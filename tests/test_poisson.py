@@ -23,7 +23,6 @@ from dkp.poisson import (
     first_bracket_degree_obstruction,
     first_flow_rhs_AB,
     induced_bracket_c,
-    jacobi_defect,
     qlink_report,
     verify_bracrel,
     verify_casimir1,
@@ -35,6 +34,7 @@ from dkp.poisson import (
     verify_ladder,
 )
 from dkp.symalg import ALPHA, BETA, ExactPoly, gen_A, gen_B, gen_c, poly_sum
+from poisson_oracle import jacobi_defect
 
 TORI = [(3, 2), (5, 2), (4, 3)]
 
