@@ -102,9 +102,6 @@ class BandMatrix:
                     acc.pop(key, None)
         return BandMatrix(self.N, acc)
 
-    def scale(self, q) -> "BandMatrix":
-        return BandMatrix(self.N, {key: p * q for key, p in self.entries.items()})
-
     def commutator(self, other: "BandMatrix") -> "BandMatrix":
         return self * other - other * self
 
@@ -439,7 +436,7 @@ def dominance_point_random(N: int, M: int, j: int, seed: int) -> dict[Gen, Fract
 
 
 def dominance_rank(
-    N: int, M: int, j: int, point: Mapping[Gen, Fraction | int] | None = None, seed: int = 0
+    N: int, M: int, j: int, point: Mapping[Gen, Fraction | int] | None = None
 ) -> tuple[int, int]:
     """(rank, target dimension) of the elimination differential at a point."""
     if point is None:

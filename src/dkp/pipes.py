@@ -18,7 +18,8 @@ both knees.  The *degree* of a diagram is its number of horizontal pieces.
 Closed diagrams of degree d are in bijection with the pure-A monomials of
 the degree-d conserved quantity of the spectral curve after the substitution
 B = 0: the horizontal pieces sit exactly at the sites whose A-variables occur
-in the monomial, and the knees are then forced.  The bijection never forms
+in the monomial, and no two closed diagrams of positive degree share their
+horizontal sites, which `monomial_tpd_bijection` checks.  It never forms
 the full A, B curve: B = 0 is a ring homomorphism, so it commutes with the
 determinant, and `monomial_tpd_bijection` sets B = 0 in the level-1 band
 and computes the determinant at B = 0 directly.  The intersection pairing
@@ -56,14 +57,23 @@ is bounded by NM on the knee route and by (NM)^2 max|kappa| on the kappa
 route, and a group total adds at most one knee entry per pair, all far
 inside int64.  `pairing` computes a single entry by both routes.
 
-Degree-0 diagrams exist (the empty diagram and the single all-knee cycle);
-they correspond to the constant terms of the determinant and are excluded
-from the monomial bijection, which concerns the nonconstant ledger entries.
+The diagrams are built row by row from the port rules alone.  A site uses
+no ports, W-E (horizontal), W-S (left-down), N-E (up-right) or all four
+(both knees); the left-down knees of row m feed the up-right knees of row
+m-1, and row 0 feeds row M-1.  Given the sites of a row that take a pipe
+from above, its filling is forced except where a site takes a pipe from the
+west but none from above, which is then horizontal or left-down.  The
+enumeration walks rows M-1, ..., 0 down from each of the 2^N sets of pipes
+entering the top row, keeps the walks whose last row feeds the first, and
+sorts each degree by sorted horizontal support; every diagram of every
+degree is built this one way, once per torus.  Degree 0 has two diagrams,
+the empty one and the single all-knee cycle; they correspond to the
+constant terms of the determinant and are excluded from the monomial
+bijection, which concerns the nonconstant ledger entries.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -213,92 +223,71 @@ class PipeDiagram:
         }
 
 
-def _complete_knees(
-    N: int, M: int, horizontal: frozenset[Site]
-) -> tuple[frozenset[Site], frozenset[Site]] | None:
-    """Force the knee placements for a given horizontal support.
-
-    Every maximal horizontal run spawns a knee chain at the site east of its
-    end: a left-down knee there, an up-right knee one step south, then the
-    chain either terminates on the west side of the next horizontal piece
-    along the (+1, -1) diagonal or continues with another knee pair.  Returns
-    None when a forced up-right knee would land on a horizontal site, which
-    is the only way closure can fail.
-    """
-    left_down: set[Site] = set()
-    up_right: set[Site] = set()
-    budget = 2 * N * M + 2
-    for n, m in sorted(horizontal):
-        start = ((n + 1) % N, m)
-        if start in horizontal:
-            continue  # the run continues; no chain from here
-        x = start
-        for _ in range(budget):
-            if x in left_down:
-                break  # chain already built from an earlier run end
-            left_down.add(x)
-            below = (x[0], (x[1] - 1) % M)
-            if below in horizontal:
-                return None  # an up-right knee may not share a site with a horizontal
-            up_right.add(below)
-            east = ((below[0] + 1) % N, below[1])
-            if east in horizontal:
-                break  # chain terminates on the west port of this horizontal piece
-            x = east
-        else:  # pragma: no cover - the chain always meets a horizontal site
-            raise RuntimeError("knee chain failed to terminate")
-    return frozenset(left_down), frozenset(up_right)
-
-
-def diagram_from_support(N: int, M: int, support: Iterable[Site]) -> PipeDiagram | None:
-    """Build the unique closed diagram whose horizontal pieces sit at `support`.
-
-    Returns None when no closed diagram has that horizontal support.
-    """
-    _require_torus(N, M)
-    h = frozenset((n % N, m % M) for n, m in support)
-    knees = _complete_knees(N, M, h)
-    if knees is None:
-        return None
-    left_down, up_right = knees
-    return PipeDiagram(N=N, M=M, horizontal=h, left_down=left_down, up_right=up_right)
-
-
-def _degree_zero_diagrams(N: int, M: int) -> list[PipeDiagram]:
-    empty = PipeDiagram(N=N, M=M, horizontal=frozenset(), left_down=frozenset(), up_right=frozenset())
-    sites = frozenset((n, m) for n in range(N) for m in range(M))
-    all_knees = PipeDiagram(N=N, M=M, horizontal=frozenset(), left_down=sites, up_right=sites)
-    return [empty, all_knees]
+def _row_fillings(N: int, above: frozenset[int]) -> list[tuple[tuple[int, ...], frozenset[int]]]:
+    """The (horizontal, left-down) sites of every filling of a row whose sites
+    `above` take a pipe from above (see the module docstring)."""
+    out = []
+    for wrap in (False, True):  # whether a pipe runs east from the last site into the first
+        partial = [((), (), wrap)]
+        for n in range(N):
+            step = []
+            for h, ld, west in partial:
+                if n in above:
+                    step.append((h, ld + (n,) * west, True))
+                elif west:
+                    step += [(h + (n,), ld, True), (h, ld + (n,), False)]
+                else:
+                    step.append((h, ld, False))
+            partial = step
+        out += [(h, frozenset(ld)) for h, ld, west in partial if west == wrap]
+    return out
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(N: int, M: int, degree: int) -> tuple[PipeDiagram, ...]:
-    if degree == 0:
-        return tuple(_degree_zero_diagrams(N, M))
-    sites = sorted((n, m) for n in range(N) for m in range(M))
-    out: list[PipeDiagram] = []
-    for combo in itertools.combinations(sites, degree):
-        h = frozenset(combo)
-        knees = _complete_knees(N, M, h)
-        if knees is None:
-            continue
-        out.append(PipeDiagram(N=N, M=M, horizontal=h, left_down=knees[0], up_right=knees[1]))
-    return tuple(out)
+def _tpds(N: int, M: int) -> tuple[tuple[PipeDiagram, ...], ...]:
+    """Every closed diagram of the torus, indexed by degree (see the module docstring)."""
+    tops = [frozenset(n for n in range(N) if v >> n & 1) for v in range(2**N)]
+    fillings = {above: _row_fillings(N, above) for above in tops}
+    by_degree: list[list[PipeDiagram]] = [[] for _ in range(N * M + 1)]
+    for first in tops:
+        walks = [((), first)]  # fillings of rows M-1, M-2, ..., and the pipes into the next row
+        for m in range(M - 1, -1, -1):
+            walks = [
+                (rows + (f,), f[1])
+                for rows, above in walks
+                for f in fillings[above]
+                if m or f[1] == first  # the last row must feed the first
+            ]
+        for rows, _ in walks:
+            h = [(n, M - 1 - r) for r, (row_h, _) in enumerate(rows) for n in row_h]
+            ld = [(n, M - 1 - r) for r, (_, row_ld) in enumerate(rows) for n in row_ld]
+            by_degree[len(h)].append(PipeDiagram(N, M, h, ld, [(n, (m - 1) % M) for n, m in ld]))
+    return tuple(tuple(sorted(ds, key=lambda d: sorted(d.horizontal))) for ds in by_degree)
+
+
+def diagram_from_support(N: int, M: int, support: Iterable[Site]) -> PipeDiagram | None:
+    """The first closed diagram, in `enumerate_tpds` order, whose horizontal
+    pieces sit at `support`; None when no closed diagram has that support.
+
+    Every support of positive degree has at most one diagram; the empty
+    support has two, and this returns the empty diagram.  The first call on a
+    torus enumerates all of its diagrams.
+    """
+    _require_torus(N, M)
+    h = frozenset((n % N, m % M) for n, m in support)
+    return next((d for d in _tpds(N, M)[len(h)] if d.horizontal == h), None)
 
 
 def enumerate_tpds(N: int, M: int, degree: int) -> list[PipeDiagram]:
-    """All closed diagrams of the given degree, in deterministic order.
+    """All closed diagrams of the given degree, sorted by sorted horizontal support.
 
-    Degree 0 yields the empty diagram and the single all-knee cycle; for
-    degree >= 1 the horizontal supports are enumerated and completed by the
-    forced knee chains, which is exhaustive because the knees of a closed
-    diagram with at least one horizontal piece are determined by its
-    horizontal support.
+    The two degree-0 diagrams share the empty support; the empty diagram
+    comes first, then the all-knee cycle.
     """
     _require_torus(N, M)
     if not 0 <= degree <= N * M:
         raise ValueError(f"degree must lie in [0, {N * M}], got {degree}")
-    return list(_enumerate_cached(N, M, degree))
+    return list(_tpds(N, M)[degree])
 
 
 def pure_A_monomials(poly: ExactPoly) -> list[tuple[frozenset[Site], Scalar]]:
@@ -335,11 +324,12 @@ def monomial_tpd_bijection(N: int, M: int) -> dict:
     """Match the pure-A monomials of every conserved quantity with diagrams.
 
     For each degree d from 1 to NM the monomials of q_d surviving B = 0 are
-    completed to closed diagrams and compared against the full enumeration;
-    the report carries both directions of the map and per-degree counts.
-    Ledger degrees above NM are checked to have no surviving monomial (a
-    squarefree pure-A monomial has at most NM factors).  A monomial whose
-    knee completion fails closure raises: it would break the bijection.
+    looked up by support in the enumeration of degree d and the counts are
+    compared; the report carries both directions of the map and per-degree
+    counts.  Ledger degrees above NM are checked to have no surviving
+    monomial (a squarefree pure-A monomial has at most NM factors).  Two
+    diagrams of one degree sharing a support, or a monomial with no closed
+    diagram, raise: either would break the bijection.
     """
     _require_torus(N, M)
     NM = N * M
@@ -372,15 +362,17 @@ def monomial_tpd_bijection(N: int, M: int) -> dict:
         if len(set(supports)) != len(supports):  # pragma: no cover - dict keys of a poly
             raise RuntimeError(f"q_{d} supports collide at degree {d}")
         enumerated = {diag.horizontal: diag for diag in diagrams}
+        if len(enumerated) != len(diagrams):
+            raise RuntimeError(f"two closed diagrams of degree {d} share a horizontal support")
         for support in supports:
-            diag = diagram_from_support(N, M, support)
+            diag = enumerated.get(support)
             if diag is None:
                 raise RuntimeError(
-                    f"monomial with support {sorted(support)} has no closed knee completion"
+                    f"monomial with support {sorted(support)} has no closed diagram"
                 )
             monomial_to_diagram[support] = diag
             diagram_to_monomial[diag] = support
-        matched = len(supports) == len(diagrams) and all(s in enumerated for s in supports)
+        matched = len(supports) == len(diagrams)
         per_degree[d] = {
             "monomials": len(supports),
             "diagrams": len(diagrams),
@@ -458,7 +450,7 @@ def _piece_counts(diagrams: Sequence[PipeDiagram], N: int, M: int) -> np.ndarray
 @lru_cache(maxsize=None)
 def _counts_cached(N: int, M: int, degree: int) -> np.ndarray:
     """The read-only count rows of ``enumerate_tpds(N, M, degree)``."""
-    counts = _piece_counts(_enumerate_cached(N, M, degree), N, M)
+    counts = _piece_counts(_tpds(N, M)[degree], N, M)
     counts.flags.writeable = False
     return counts
 

@@ -437,8 +437,10 @@ def _elementary_band(N: int, M: int, i: int, k: int) -> BandMatrix:
     return BandMatrix(N, {(M - i, k % N): ExactPoly.const(1)})
 
 
-def _abstract_band_matrix(N: int, M: int) -> BandMatrix:
-    return BandMatrix.from_band_entries(N, M, abstract_level(N, M, 1))
+@lru_cache(maxsize=None)
+def _abstract_band_transpose(N: int, M: int) -> BandMatrix:
+    """The transposed abstract level-1 band, built once per torus and only read."""
+    return BandMatrix.from_band_entries(N, M, abstract_level(N, M, 1)).transpose()
 
 
 def bracket1_c_literal(
@@ -448,11 +450,10 @@ def bracket1_c_literal(
     _require_torus(N, M)
     e1 = _elementary_band(N, M, *g1)
     e2 = _elementary_band(N, M, *g2)
-    ct = _abstract_band_matrix(N, M).transpose()
     expr = (
         e1.upper_part().commutator(e2.upper_part())
         - e1.lower_part().commutator(e2.lower_part())
-    ) * ct
+    ) * _abstract_band_transpose(N, M)
     return expr.trace_per_period()
 
 
@@ -726,15 +727,19 @@ def qlink_report(N: int, M: int) -> dict:
     separately (``literal_unit_ok``) — it fails wherever b + 1 > 1.
     """
     curve = compute_curve(N, M, "band")
+    slots = set(curve.coefficients)
+    slots |= {(a, b - 1) for (a, b) in slots if b >= 1}
+    derivs = {
+        (a, b): poly_sum(curve.poly(a, b).partial(gen_c(1, M, k)) for k in range(N))
+        for a, b in slots
+    }
     rows = []
     exact_ok = True
     literal_ok = True
     for d in curve.degrees():
         entry = curve.ledger[d]
-        deriv = poly_sum(
-            entry.poly.partial(gen_c(1, M, k)) for k in range(N)
-        )
         a, b = entry.alpha_exp, entry.beta_exp
+        deriv = derivs[(a, b)]
         multiplier = -(b + 1)
         target_poly = curve.poly(a, b + 1)
         exact = deriv == target_poly * multiplier
@@ -764,15 +769,11 @@ def qlink_report(N: int, M: int) -> dict:
                 target_poly.constant_value() if target_poly.is_constant() else None
             )
         rows.append(row)
-    slots = set(curve.coefficients)
-    slots |= {(a, b - 1) for (a, b) in slots if b >= 1}
-    slot_failures = []
-    for a, b in sorted(slots):
-        deriv = poly_sum(
-            curve.poly(a, b).partial(gen_c(1, M, k)) for k in range(N)
-        )
-        if deriv != curve.poly(a, b + 1) * (-(b + 1)):
-            slot_failures.append({"slot": [a, b]})
+    slot_failures = [
+        {"slot": [a, b]}
+        for a, b in sorted(slots)
+        if derivs[(a, b)] != curve.poly(a, b + 1) * (-(b + 1))
+    ]
     return {
         "identity": "qlink",
         "N": N,

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +50,19 @@ DIAGRAM_COUNTS = {
         1: 12, 2: 30, 3: 4, 4: 3, 5: 48, 6: 6,
         7: 0, 8: 3, 9: 4, 10: 0, 11: 0, 12: 1,
     },
+}
+
+
+# sha256 over (degree, sorted horizontal, sorted left_down, sorted up_right)
+# of every diagram in enumeration order, recorded from the support-scan
+# enumerator that the row-by-row one replaced.
+ENUMERATION_DIGESTS = {
+    (4, 3): "cf602d91c92bc812447bcf7efb21576e44643f9d0d79a344be90ec897c8575b5",
+    (3, 4): "71fa9e7f72d41b2542e9b81d698a02de7fd503c7b02ea72082e0ab66b89e991c",
+    (5, 3): "70bf87d795cd1f51f56cc9875f22688cc1e37efd336bb8ef550efd2c737592af",
+    (7, 2): "cb40b82e1b9b7f6e79906912ce70f59ecca309f229e68503cc67ace1c7a9a0c5",
+    (5, 4): "ae498db8195c8ea485fd88ad2dd06ba18ae96024b2045bfd4429fe202dba5621",
+    (7, 3): "d48ba1b4748ba82bdba01fa03173e2b8615cb9e9cde3b0987c54c85bf2439c95",
 }
 
 
@@ -173,13 +188,37 @@ class TestEnumeration:
     def test_enumeration_deterministic(self):
         assert enumerate_tpds(3, 2, 2) == enumerate_tpds(3, 2, 2)
 
+    @pytest.mark.parametrize("N,M", SMALL_TORI + [(3, 2), (5, 2)])
+    def test_matches_brute_force_over_site_assignments(self, N, M):
+        # every site gets none, horizontal or left-down; the up-right knees are
+        # the left-down ones one row down; PipeDiagram keeps the closed ones
+        sites = [(n, m) for n in range(N) for m in range(M)]
+        found: dict[int, list[PipeDiagram]] = {d: [] for d in range(N * M + 1)}
+        for pieces in itertools.product((None, HORIZONTAL, LEFT_DOWN), repeat=len(sites)):
+            h = [s for s, piece in zip(sites, pieces) if piece == HORIZONTAL]
+            ld = [s for s, piece in zip(sites, pieces) if piece == LEFT_DOWN]
+            try:
+                diag = PipeDiagram(N, M, h, ld, [(n, (m - 1) % M) for n, m in ld])
+            except ValueError:
+                continue
+            found[diag.degree].append(diag)
+        for d, diagrams in found.items():
+            assert enumerate_tpds(N, M, d) == sorted(diagrams, key=lambda x: sorted(x.horizontal))
+
+    @pytest.mark.parametrize("N,M", sorted(ENUMERATION_DIGESTS))
+    def test_enumeration_digest_pinned(self, N, M):
+        digest = hashlib.sha256()
+        for d in range(N * M + 1):
+            for diag in enumerate_tpds(N, M, d):
+                key = (d, *(sorted(s) for s in (diag.horizontal, diag.left_down, diag.up_right)))
+                digest.update(repr(key).encode())
+        assert digest.hexdigest() == ENUMERATION_DIGESTS[(N, M)]
+
     @pytest.mark.parametrize("N", [3, 4])
     def test_toda_diagrams_are_row_loops_with_knee_filler(self, N):
         for degree in range(1, N + 1):
             diagrams = enumerate_tpds(N, 1, degree)
-            assert len(diagrams) == len(
-                [c for c in __import__("itertools").combinations(range(N), degree)]
-            )
+            assert len(diagrams) == len(list(itertools.combinations(range(N), degree)))
             for diag in diagrams:
                 # a single row: knees fill every non-horizontal site, both at once
                 assert diag.left_down == diag.up_right
@@ -210,6 +249,14 @@ class TestBijection:
         slots = pipes._b0_slots(N, M)
         assert slots == {ab: p for ab, p in restricted.items() if p}
         assert slots[(M, 0)] == 1 and slots[(0, N)] == -1
+
+    def test_duplicate_support_raises(self, monkeypatch):
+        enumerate_all = pipes.enumerate_tpds
+        monkeypatch.setattr(
+            pipes, "enumerate_tpds", lambda N, M, d: enumerate_all(N, M, d) * 2
+        )
+        with pytest.raises(RuntimeError, match="degree 1 share a horizontal support"):
+            monomial_tpd_bijection(3, 2)
 
     def test_pure_a_slot_above_the_site_count_raises(self, monkeypatch):
         # slot (-1, 1) of (3, 2) has degree 7 > NM = 6

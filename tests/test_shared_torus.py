@@ -1,4 +1,4 @@
-"""One torus validator, per-torus objects built once, and no unused imports."""
+"""One torus validator, per-torus objects built once, and no unused imports or private code."""
 
 from __future__ import annotations
 
@@ -114,3 +114,34 @@ def test_no_unused_top_level_imports():
         for name, tree in _modules().items()
     }
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _references(tree: ast.AST, skip: ast.AST) -> set[str]:
+    """Every name, attribute and imported name in `tree`, outside the subtree `skip`."""
+    found: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_private_top_level_definition_is_referenced():
+    modules = _modules()
+    unreferenced = [
+        f"{name}.{node.name}"
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not any(node.name in _references(other, node) for other in modules.values())
+    ]
+    assert unreferenced == []
