@@ -152,12 +152,20 @@ def _load_state(path: str, N: int, M: int):
         raise ValueError(
             f"state file {path} must be a JSON object with keys N, M, A, B"
         )
-    if int(data["N"]) != N or int(data["M"]) != M:
+    # json gives exact int and float objects; type() also keeps out bool
+    for key in ("N", "M"):
+        if type(data[key]) is not int:
+            raise ValueError(f"state file {path}: {key} must be an integer, got {data[key]!r}")
+    if (data["N"], data["M"]) != (N, M):
         raise ValueError(
-            f"state file is for torus ({data['N']}, {data['M']}), not ({N}, {M})"
+            f"state file {path} is for torus ({data['N']}, {data['M']}), not ({N}, {M})"
         )
+    t = data.get("t", 0.0)
+    # compares an int of any size without converting it; NaN compares false
+    if type(t) not in (int, float) or not abs(t) <= sys.float_info.max:
+        raise ValueError(f"state file {path}: t must be a finite number, got {t!r}")
     try:
-        return KPStateNumeric(N, M, data["A"], data["B"], float(data.get("t", 0.0)))
+        return KPStateNumeric(N, M, data["A"], data["B"], float(t))
     except Exception as exc:
         raise ValueError(f"state file {path} is not a valid state: {exc}") from None
 

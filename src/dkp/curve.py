@@ -15,6 +15,7 @@ Ledger tags:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 from dkp.lattice import (
@@ -119,6 +120,13 @@ def compute_curve(N: int, M: int, mode: str = "AB") -> SpectralCurve:
     coefficients = _curve_slots(N, M, _band_for_mode(N, M, mode))
     ledger = _build_ledger(N, M, coefficients)
     return SpectralCurve(N=N, M=M, mode=mode.lower(), coefficients=coefficients, ledger=ledger)
+
+
+@lru_cache(maxsize=None)
+def band_curve(N: int, M: int) -> SpectralCurve:
+    """The band-mode curve of a torus, computed once per process and shared
+    by the ledger suites and the flows; callers only read it."""
+    return compute_curve(N, M, "band")
 
 
 def _curve_slots(N: int, M: int, band: LevelData) -> dict[tuple[int, int], ExactPoly]:

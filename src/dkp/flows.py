@@ -1,13 +1,18 @@
 """Numeric hierarchy flows and conservation-drift monitoring.
 
-Flows run on double-precision A, B arrays.  Two independent right-side
-routes exist: the first flow evaluated directly from the sign-table
-evolution equations, and any ledger flow d obtained by compiling the
-symbolic bracket {g, q_d}_2 once per (N, M, d) into one stacked factor
-table over all 2NM generators (for d = 1 the two routes agree to machine
-precision, which the tests pin).  Integration is fixed-step classical RK4
-for reproducible drift numbers; the whole ledger, one more stacked table,
-is evaluated per step and each quantity's maximal relative drift reported.
+Flows run on double-precision A, B arrays.  The conserved quantities come
+from the band curve, never from the A,B determinant: the block row
+reduction x -> c(x) to the level-1 band entries is a ring homomorphism, so
+each A,B ledger entry q_d is the band ledger entry Q_d with c replaced by
+c(x).  Two independent right-side routes exist: the first flow evaluated
+directly from the sign-table evolution equations, and any ledger flow d
+obtained by pulling Q_d back exactly to A, B (``poisson.pullback``) and
+compiling the symbolic bracket {g, q_d}_2 once per (N, M, d) into one
+stacked factor table over all 2NM generators (for d = 1 the two routes
+agree to machine precision, which the tests pin).  Integration is
+fixed-step classical RK4 for reproducible drift numbers; the whole ledger is
+evaluated per step as two stacked tables, state -> c(x) -> Q(c(x)), and each
+quantity's maximal relative drift reported.
 """
 
 from __future__ import annotations
@@ -17,8 +22,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from dkp.curve import SpectralCurve, compute_curve
-from dkp.poisson import bracket2_AB, bracket_extend, first_flow_rhs_AB
+from dkp.curve import band_curve
+from dkp.lattice import reduction_levels
+from dkp.poisson import (
+    bracket2_AB,
+    bracket_extend,
+    c_generators,
+    first_flow_rhs_AB,
+    pullback,
+)
 from dkp.symalg import ExactPoly, Gen, gen_A, gen_B
 from dkp.torus import _require_torus, build_kappa, build_rho
 
@@ -118,28 +130,44 @@ class CompiledPoly:
 
 
 @lru_cache(maxsize=None)
-def _ab_curve(N: int, M: int) -> SpectralCurve:
-    return compute_curve(N, M, "AB")
+def _band_entries(N: int, M: int) -> dict[Gen, ExactPoly]:
+    """Every level-1 band generator c_i(k), i >= 1, as its A,B polynomial,
+    in ``c_generators`` order."""
+    level = reduction_levels(N, M)[1]
+    return {g: level[(g[2], g[3])] for g in c_generators(N, M, 1)}
 
 
 @lru_cache(maxsize=None)
-def _compiled_ledger(N: int, M: int) -> CompiledPoly:
-    """Every ledger quantity, in the order of ``curve.degrees()``."""
-    curve = _ab_curve(N, M)
-    return CompiledPoly([curve.q(d) for d in curve.degrees()], state_index(N, M))
+def _compiled_ledger(N: int, M: int):
+    """Flat state -> every ledger quantity, in the order of ``curve.degrees()``.
+
+    Two stacked evaluations: the state to the level-1 band entries c(x),
+    then the band ledger at c(x).
+    """
+    band = _band_entries(N, M)
+    entries = CompiledPoly(list(band.values()), state_index(N, M))
+    curve = band_curve(N, M)
+    ledger = CompiledPoly(
+        [curve.q(d) for d in curve.degrees()], {g: i for i, g in enumerate(band)}
+    )
+    return lambda flat: ledger(entries(flat))
 
 
 @lru_cache(maxsize=None)
 def _compiled_flow(N: int, M: int, degree: int) -> CompiledPoly:
-    """Compiled dg/dt = {g, q_degree}_2 for every generator g, state order."""
-    curve = _ab_curve(N, M)
+    """Compiled dg/dt = {g, q_degree}_2 for every generator g, state order.
+
+    q_degree is the band ledger entry pulled back exactly to A, B through
+    the level-1 entries.
+    """
+    curve = band_curve(N, M)
     if degree not in curve.ledger:
         raise ValueError(
             f"degree {degree} is not in the ({N},{M}) ledger {curve.degrees()}"
         )
     table = bracket2_AB(N, M)
     index = state_index(N, M)
-    qd = curve.q(degree)
+    qd = table.unpack(pullback(table, _band_entries(N, M))(curve.q(degree)))
     order = sorted(index, key=index.get)
     return CompiledPoly([bracket_extend(table, ExactPoly.var(g), qd) for g in order], index)
 
@@ -237,7 +265,7 @@ def integrate(
     if T < 0:
         raise ValueError("T must be nonnegative")
     N, M = state.N, state.M
-    degrees = _ab_curve(N, M).degrees()
+    degrees = band_curve(N, M).degrees()
     ledger = _compiled_ledger(N, M)
     rhs = _rhs_fn(N, M, flow)
     flat = state.flat()

@@ -15,7 +15,6 @@ periodic; level indices j run 1..M as in the reduction recursion.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -155,15 +154,6 @@ def x_band(N: int, M: int, m: int) -> BandMatrix:
         entries[(0, k)] = -ExactPoly.var(gen_A(k, m % M))
         entries[(-1, k)] = -ExactPoly.var(gen_B(k, m % M))
     return BandMatrix(N, entries)
-
-
-def band_product(N: int, M: int, j: int = 1) -> BandMatrix:
-    """Oracle product of the tridiagonal factors for levels M down to j."""
-    _require_torus(N, M)
-    out = x_band(N, M, M - 1)
-    for m in range(M - 2, j - 2, -1):
-        out = out * x_band(N, M, m)
-    return out
 
 
 def level_halfwidth(M: int, j: int) -> int:
@@ -339,26 +329,6 @@ def det_minor_expansion(mat: Matrix) -> ExactPoly:
         return acc
 
     return minor((1 << n) - 1)
-
-
-def det_permutation(mat: Matrix) -> ExactPoly:
-    """Permutation-sum determinant, used only as a small-size oracle."""
-    n = len(mat)
-    acc = ExactPoly.zero()
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        term = ExactPoly.const(1)
-        for i in range(n):
-            entry = mat[i][perm[i]]
-            if not entry:
-                term = ExactPoly.zero()
-                break
-            term = term * entry
-        if term:
-            acc = acc + (term if inversions % 2 == 0 else -term)
-    return acc
 
 
 def matrix_rank_exact(rows: Sequence[Sequence[Fraction | int]]) -> int:

@@ -23,7 +23,9 @@ monomial product is one int addition (the packed exponent vectors of
 Monagan and Pearce, CASC 2007).  Exponents must stay below 2**29 in
 magnitude (OverflowError otherwise, never a wrapped result), and a
 generator outside the table raises ValueError.  ``bracket_extend`` is
-gradients -> kernel -> unpack into an ``ExactPoly``.
+gradients -> kernel -> unpack into an ``ExactPoly``.  ``pullback`` takes a
+band polynomial to A, B exactly, by packed products in the same packing;
+``closure_verify`` and the ledger flows read through it.
 
 Each bracket table (``bracket2_AB``, ``bracket2_c`` per level j,
 ``bracket1_c``) is built once per (N, M, j) per process and shared by every
@@ -43,9 +45,9 @@ from __future__ import annotations
 import itertools
 import sys
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
-from dkp.curve import SpectralCurve, compute_curve
+from dkp.curve import SpectralCurve, band_curve
 from dkp.lattice import BandMatrix, abstract_level, reduction_levels
 from dkp.symalg import (
     ALPHA,
@@ -153,6 +155,10 @@ class BracketTable:
             (self._gens[i], words[i] - _HALF) for i in self._order if words[i] != _HALF
         )
 
+    def unpack(self, p: Packed) -> ExactPoly:
+        """The ``ExactPoly`` of a packed polynomial, zero coefficients dropped."""
+        return ExactPoly({self._mono(k): q for k, q in p.items() if q})
+
     def _pack(self, p: ExactPoly) -> Packed:
         return {self._key(mono): q for mono, q in p.terms.items()}
 
@@ -241,7 +247,42 @@ def bracket_extend(table: BracketTable, f: ExactPoly, g: ExactPoly) -> ExactPoly
     """
     acc: Packed = {}
     table._bracket_into(acc, table._gradient(f), table._gradient(g))
-    return ExactPoly({table._mono(k): q for k, q in acc.items() if q})
+    return table.unpack(acc)
+
+
+def pullback(table: BracketTable, expansion: Mapping[Gen, ExactPoly]) -> Callable[[ExactPoly], Packed]:
+    """The exact substitution p -> p(expansion), packed in ``table``'s packing.
+
+    Every generator of p must be a key of ``expansion``.  Each expansion is
+    packed once, and each monomial is expanded once per returned function,
+    by packed products, so polynomials over shared monomials (the
+    closed-form entries of one level, say) share the work.  With one
+    level's A,B entries as ``expansion`` this is the ring homomorphism
+    c -> c(A, B) of the block row reduction.
+    """
+    packed = {g: table._pack(p) for g, p in expansion.items()}
+    expanded: dict[tuple, Packed] = {}
+
+    def expand(mono: tuple) -> Packed:
+        out: Packed = {0: 1}
+        for gen, e in mono:
+            for _ in range(e):
+                prod: Packed = {}
+                _mul_into(prod, out, packed[gen])
+                out = prod
+        return out
+
+    def substitute(p: ExactPoly) -> Packed:
+        acc: Packed = {}
+        for mono, q in p.terms.items():
+            sub = expanded.get(mono)
+            if sub is None:
+                sub = expanded[mono] = expand(mono)
+            for k, c in sub.items():
+                acc[k] = acc.get(k, 0) + q * c
+        return acc
+
+    return substitute
 
 
 # ------------------------------------------------------------- bracket2 on A,B
@@ -388,33 +429,15 @@ def closure_verify(N: int, M: int, j: int = 1) -> dict:
     table = bracket2_AB(N, M)
     closed_form = bracket2_c(N, M, j)
     gens = c_generators(N, M, j)
-    packed = {g: table._pack(expansion[g]) for g in gens}
     grads = [table._gradient(expansion[g]) for g in gens]
-    # closed-form monomial -> its packed expansion, built once per level
-    substituted: dict[tuple, Packed] = {}
-
-    def substitute(mono: tuple) -> Packed:
-        out: Packed = {0: 1}
-        for gen, e in mono:
-            for _ in range(e):
-                prod: Packed = {}
-                _mul_into(prod, out, packed[gen])
-                out = prod
-        return out
-
+    substitute = pullback(table, expansion)
     failures = []
     cases = 0
     for a in range(len(gens)):
         for b in range(a, len(gens)):
             g1, g2 = gens[a], gens[b]
             cases += 1
-            closed: Packed = {}
-            for mono, q in closed_form.entry(g1, g2).terms.items():
-                sub = substituted.get(mono)
-                if sub is None:
-                    sub = substituted[mono] = substitute(mono)
-                for k, c in sub.items():
-                    closed[k] = closed.get(k, 0) + q * c
+            closed = substitute(closed_form.entry(g1, g2))
             direct: Packed = {}
             table._bracket_into(direct, grads[a], grads[b])
             if _nonzero(closed) != _nonzero(direct):
@@ -565,7 +588,7 @@ def ladder_pairs(curve: SpectralCurve) -> list[tuple[int, int]]:
 
 def verify_ladder(N: int, M: int) -> dict:
     """{q_{i+M}, g}_1 = {q_i, g}_2 on every generator, for every ledger pair."""
-    curve = compute_curve(N, M, "band")
+    curve = band_curve(N, M)
     t1 = bracket1_c(N, M)
     t2 = bracket2_c(N, M, 1)
     # The two sides are compared as packed dicts, keyed alike only when both
@@ -606,7 +629,7 @@ def verify_ladder(N: int, M: int) -> dict:
 
 def verify_involution(N: int, M: int) -> dict:
     """{q_i, q_j} = 0 for all ledger pairs, under both brackets."""
-    curve = compute_curve(N, M, "band")
+    curve = band_curve(N, M)
     t1 = bracket1_c(N, M)
     t2 = bracket2_c(N, M, 1)
     degrees = curve.degrees()
@@ -664,7 +687,7 @@ def _casimir_suite(
 
 def verify_casimir2(N: int, M: int) -> dict:
     """Beta-free ledger entries kill bracket 2; all others move something."""
-    curve = compute_curve(N, M, "band")
+    curve = band_curve(N, M)
     t2 = bracket2_c(N, M, 1)
     expected_set = [k * N for k in range(1, 2 * M + 1)]
     casimirs = curve.casimir2_degrees()
@@ -692,7 +715,7 @@ def verify_casimir1(N: int, M: int) -> dict:
     N > M this coincides with the degrees d whose partner d - M is not in
     the ledger; the report carries that degree-rule set for comparison.
     """
-    curve = compute_curve(N, M, "band")
+    curve = band_curve(N, M)
     t1 = bracket1_c(N, M)
     casimirs = curve.casimir1_degrees()
     degrees = set(curve.degrees())
@@ -726,7 +749,7 @@ def qlink_report(N: int, M: int) -> dict:
     multiplier reading |q_{d-M}| = |sum_k dq_d/dc_M(k)| is judged
     separately (``literal_unit_ok``) — it fails wherever b + 1 > 1.
     """
-    curve = compute_curve(N, M, "band")
+    curve = band_curve(N, M)
     slots = set(curve.coefficients)
     slots |= {(a, b - 1) for (a, b) in slots if b >= 1}
     derivs = {

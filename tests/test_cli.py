@@ -169,6 +169,34 @@ class TestCurve:
         assert "torus" in err
 
 
+class TestStateFile:
+    GOOD = {"N": 3, "M": 2, "t": 0.0, "A": [[1.0] * 3] * 2, "B": [[1.0] * 3] * 2}
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("N", [3], "N must be an integer, got [3]"),
+            ("N", 3.9, "N must be an integer, got 3.9"),
+            ("M", True, "M must be an integer, got True"),
+            ("t", "nan", "t must be a finite number, got 'nan'"),
+        ],
+    )
+    def test_bad_field_is_a_config_error_naming_the_file(self, capsys, tmp_path, field, value, message):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({**self.GOOD, field: value}))
+        code, report, err = run_cli(capsys, "flow", "--N", "3", "--M", "2", "--T", "0.01", "--state", str(path))
+        assert code == 2
+        assert report is None
+        assert err == f"error: state file {path}: {message}\n"
+
+    def test_good_file_runs(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({**self.GOOD, "t": 2}))
+        code, report, _ = run_cli(capsys, "flow", "--N", "3", "--M", "2", "--T", "0.01", "--state", str(path))
+        assert code == 0
+        assert report["state_final"]["t"] == pytest.approx(2.01)
+
+
 class TestFlow:
     FAST = ("--dt", "1e-3", "--T", "0.05")
 

@@ -1,10 +1,14 @@
 """Numeric flow integration and conservation drift."""
 
+from fractions import Fraction
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from dkp import curve as curve_module
 from dkp import flows
-from dkp.curve import compute_curve
+from dkp.curve import band_curve, compute_curve
 from dkp.flows import (
     CompiledPoly,
     KPStateNumeric,
@@ -13,6 +17,8 @@ from dkp.flows import (
     integrate,
     state_index,
 )
+from dkp.lattice import reduction_levels
+from dkp.poisson import bracket2_AB, c_generators, pullback
 from dkp.symalg import ExactPoly, gen_A, gen_B
 
 
@@ -99,17 +105,22 @@ class TestStackedEvaluation:
 class TestLedgerDrift:
     @pytest.mark.parametrize("N,M", [(3, 2), (4, 3)])
     def test_matches_per_polynomial_loop(self, N, M):
+        # The reference is the same composed route, state -> c(x) -> band q_d,
+        # one polynomial at a time; TestBandRoute ties the values to the A,B curve.
         res = integrate(KPStateNumeric.random(N, M, seed=3), 1, 1e-3, 0.05, record_every=1)
-        curve = compute_curve(N, M, "AB")
-        idx = state_index(N, M)
+        curve = compute_curve(N, M, "band")
+        level = reduction_levels(N, M)[1]
+        gens = c_generators(N, M, 1)
+        entries = CompiledPoly([level[(g[2], g[3])] for g in gens], state_index(N, M))
+        c_index = {g: i for i, g in enumerate(gens)}
         states = [KPStateNumeric(N, M, f["state"]["A"], f["state"]["B"]).flat() for f in res.trajectory]
         want = {}
         for d in curve.degrees():
-            q = CompiledPoly([curve.q(d)], idx)
-            q0 = q(states[0])[0]
+            q = CompiledPoly([curve.q(d)], c_index)
+            q0 = q(entries(states[0]))[0]
             drift = 0.0
             for flat in states[1:]:
-                drift = max(drift, abs(q(flat)[0] - q0) / max(abs(q0), 1e-12))
+                drift = max(drift, abs(q(entries(flat))[0] - q0) / max(abs(q0), 1e-12))
             want[d] = drift
         assert res.steps == 50 and len(states) == 51
         assert list(res.drift) == curve.degrees()
@@ -134,6 +145,65 @@ class TestLedgerDrift:
         assert all(np.isfinite(v) for v in after.drift.values())
         assert after.drift == before.drift
         assert after.max_drift > 0
+
+
+ROUTE_TORI = [(1, 2), (3, 2), (4, 1), (2, 3), (4, 3), (5, 2), (3, 4)]
+
+
+@lru_cache(maxsize=None)
+def _ab_curve(N, M):
+    return compute_curve(N, M, "AB")
+
+
+class TestBandRoute:
+    """The flows read the band curve at c(x); these tie it to the A,B curve."""
+
+    @pytest.mark.parametrize("N,M", ROUTE_TORI)
+    def test_band_ledger_pulls_back_to_the_ab_ledger(self, N, M):
+        ab, band = _ab_curve(N, M), compute_curve(N, M, "band")
+        assert band.degrees() == ab.degrees()
+        for d in ab.degrees():
+            e, f = ab.ledger[d], band.ledger[d]
+            assert (f.alpha_exp, f.beta_exp, f.is_casimir2, f.is_casimir1) == (
+                e.alpha_exp,
+                e.beta_exp,
+                e.is_casimir2,
+                e.is_casimir1,
+            )
+        table = bracket2_AB(N, M)
+        level = reduction_levels(N, M)[1]
+        expansion = {g: level[(g[2], g[3])] for g in c_generators(N, M, 1)}
+        pull = pullback(table, expansion)
+        for d in ab.degrees():
+            assert table.unpack(pull(band.q(d))) == ab.q(d), d
+
+    @pytest.mark.parametrize("N,M", ROUTE_TORI + [(5, 3)])
+    def test_composed_ledger_matches_exact_ab_values(self, N, M):
+        ab = _ab_curve(N, M)
+        flat = KPStateNumeric.random(N, M, seed=21).flat()
+        values = {g: Fraction(float(flat[i])) for g, i in state_index(N, M).items()}
+        got = flows._compiled_ledger(N, M)(flat)
+        assert len(got) == len(ab.degrees())
+        for d, value in zip(ab.degrees(), got):
+            exact = float(ab.q(d).evaluate(values))
+            assert value == pytest.approx(exact, rel=1e-12, abs=0), d
+
+    def test_integrate_builds_no_ab_curve(self, monkeypatch):
+        modes = []
+        compute = curve_module.compute_curve
+
+        def recording(N, M, mode="AB"):
+            modes.append(mode.lower())
+            return compute(N, M, mode)
+
+        monkeypatch.setattr(curve_module, "compute_curve", recording)
+        for cached in (band_curve, flows._band_entries, flows._compiled_ledger, flows._compiled_flow):
+            cached.cache_clear()
+        state = KPStateNumeric.random(3, 2, seed=1)
+        integrate(state, 4, 1e-3, 0.002)
+        integrate(state, "first", 1e-3, 0.002)
+        assert modes == ["band"]
+        assert not hasattr(flows, "compute_curve")
 
 
 class TestFlowRHS:
@@ -177,6 +247,11 @@ class TestFlowRHS:
         s = KPStateNumeric.random(3, 2, seed=13)
         rhs = flow_rhs(3, s)  # q_3 is beta-free, a bracket-2 Casimir
         assert np.allclose(rhs, 0.0, atol=1e-15)
+        s = KPStateNumeric.random(4, 3, seed=13)
+        casimirs = compute_curve(4, 3, "band").casimir2_degrees()
+        assert casimirs == [4, 8, 12, 16, 20, 24]
+        for d in casimirs:
+            assert np.allclose(flow_rhs(d, s), 0.0, atol=1e-15), d
 
 
 class TestIntegration:

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from dkp import poisson
+from dkp import curve, poisson
 from dkp.cli import RunConfig, build_parser, main
-from dkp.curve import compute_curve
+from dkp.curve import band_curve, compute_curve
 from dkp.flows import KPStateNumeric
 from dkp.lattice import reduction_levels
 from dkp.pipes import enumerate_tpds
@@ -22,6 +22,7 @@ ENTRY_POINTS = {
     "torus.build_kappa": build_kappa,
     "lattice.reduction_levels": reduction_levels,
     "curve.compute_curve": compute_curve,
+    "curve.band_curve": band_curve,
     "poisson.bracket2_AB": bracket2_AB,
     "flows.KPStateNumeric.random": lambda N, M: KPStateNumeric.random(N, M, seed=0),
     "pipes.enumerate_tpds": lambda N, M: enumerate_tpds(N, M, 1),
@@ -56,6 +57,21 @@ def test_check_builds_each_bracket_table_once(monkeypatch, capsys):
     # bracket2_AB, bracket1_c, and bracket2_c at each level 1..M
     assert len(built) == M + 2
     assert sorted(built) == sorted(["bracket2_AB", "bracket1_c"] + ["bracket2_c"] * M)
+
+
+def test_check_builds_the_band_curve_once_and_no_ab_curve(monkeypatch, capsys):
+    band_curve.cache_clear()
+    modes = []
+    compute = curve.compute_curve
+
+    def recording(N, M, mode="AB"):
+        modes.append(mode.lower())
+        return compute(N, M, mode)
+
+    monkeypatch.setattr(curve, "compute_curve", recording)
+    assert main(["check", "--N", "3", "--M", "4", "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert modes == ["band"]
 
 
 def _modules() -> dict[str, ast.Module]:
