@@ -146,7 +146,7 @@ def _load_state(path: str, N: int, M: int):
         data = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ValueError(f"state file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ValueError(f"state file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or not {"N", "M", "A", "B"} <= set(data):
         raise ValueError(
@@ -164,6 +164,14 @@ def _load_state(path: str, N: int, M: int):
     # compares an int of any size without converting it; NaN compares false
     if type(t) not in (int, float) or not abs(t) <= sys.float_info.max:
         raise ValueError(f"state file {path}: t must be a finite number, got {t!r}")
+    for key in ("A", "B"):
+        stack = [data[key]]
+        while stack:  # every leaf of the nested lists, without recursion
+            value = stack.pop()
+            if isinstance(value, list):
+                stack.extend(reversed(value))
+            elif type(value) not in (int, float):
+                raise ValueError(f"state file {path}: {key} entries must be numbers, got {value!r}")
     try:
         return KPStateNumeric(N, M, data["A"], data["B"], float(t))
     except Exception as exc:

@@ -6,9 +6,10 @@ reduction x -> c(x) to the level-1 band entries is a ring homomorphism, so
 each A,B ledger entry q_d is the band ledger entry Q_d with c replaced by
 c(x).  Two independent right-side routes exist: the first flow evaluated
 directly from the sign-table evolution equations, and any ledger flow d
-obtained by pulling Q_d back exactly to A, B (``poisson.pullback``) and
-compiling the symbolic bracket {g, q_d}_2 once per (N, M, d) into one
-stacked factor table over all 2NM generators (for d = 1 the two routes
+obtained by pulling Q_d back exactly to A, B (``poisson.pullback``),
+taking its gradient once, and reading its Hamiltonian field {g, q_d}_2 at
+every one of the 2NM generators g (``BracketTable._field_into``), compiled
+once per (N, M, d) into one stacked factor table (for d = 1 the two routes
 agree to machine precision, which the tests pin).  Integration is
 fixed-step classical RK4 for reproducible drift numbers; the whole ledger is
 evaluated per step as two stacked tables, state -> c(x) -> Q(c(x)), and each
@@ -24,14 +25,8 @@ import numpy as np
 
 from dkp.curve import band_curve
 from dkp.lattice import reduction_levels
-from dkp.poisson import (
-    bracket2_AB,
-    bracket_extend,
-    c_generators,
-    first_flow_rhs_AB,
-    pullback,
-)
-from dkp.symalg import ExactPoly, Gen, gen_A, gen_B
+from dkp.poisson import ab_generators, bracket2_AB, c_generators, pullback
+from dkp.symalg import ExactPoly, Gen
 from dkp.torus import _require_torus, build_kappa, build_rho
 
 
@@ -83,13 +78,9 @@ class KPStateNumeric:
 
 
 def state_index(N: int, M: int) -> dict[Gen, int]:
-    """Generator -> position in the flattened state vector."""
-    idx: dict[Gen, int] = {}
-    for m in range(M):
-        for n in range(N):
-            idx[gen_A(n, m)] = m * N + n
-            idx[gen_B(n, m)] = N * M + m * N + n
-    return idx
+    """Generator -> position in the flattened state vector: A(n, m) at
+    m*N + n, B(n, m) at N*M + m*N + n, the ``ab_generators`` order."""
+    return {g: i for i, g in enumerate(ab_generators(N, M))}
 
 
 class CompiledPoly:
@@ -158,7 +149,8 @@ def _compiled_flow(N: int, M: int, degree: int) -> CompiledPoly:
     """Compiled dg/dt = {g, q_degree}_2 for every generator g, state order.
 
     q_degree is the band ledger entry pulled back exactly to A, B through
-    the level-1 entries.
+    the level-1 entries; its gradient is taken once, and row g is the
+    Hamiltonian field of q_degree at g.
     """
     curve = band_curve(N, M)
     if degree not in curve.ledger:
@@ -166,10 +158,10 @@ def _compiled_flow(N: int, M: int, degree: int) -> CompiledPoly:
             f"degree {degree} is not in the ({N},{M}) ledger {curve.degrees()}"
         )
     table = bracket2_AB(N, M)
-    index = state_index(N, M)
-    qd = table.unpack(pullback(table, _band_entries(N, M))(curve.q(degree)))
-    order = sorted(index, key=index.get)
-    return CompiledPoly([bracket_extend(table, ExactPoly.var(g), qd) for g in order], index)
+    dq = table._gradient(table.unpack(pullback(table, _band_entries(N, M))(curve.q(degree))))
+    # the table numbers ab_generators, the state order
+    rows = [table.unpack(table._field(dq, a)) for a in range(len(table.universe))]
+    return CompiledPoly(rows, state_index(N, M))
 
 
 @lru_cache(maxsize=None)

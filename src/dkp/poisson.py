@@ -14,14 +14,16 @@ orientation is pinned by the classical single-layer limit {A(n), B(n)}_1
 implementation negates it (BRACKET1_SIGN below); the identity suite keeps
 both orientations visible in its reports.
 
-A table extends to polynomials in gradient form, {f, g} = sum_a df/dx_a *
-sum_b dg/dx_b * {x_a, x_b}, by one packed kernel
-(``BracketTable._bracket_into``): each table numbers its generators (the
-universe, then alpha and beta), and a monomial is one int in which exponent
-e of generator i contributes e << (i * 32), a signed 32-bit field, so a
-monomial product is one int addition (the packed exponent vectors of
-Monagan and Pearce, CASC 2007).  Exponents must stay below 2**29 in
-magnitude (OverflowError otherwise, never a wrapped result), and a
+A table extends to polynomials through one packed kernel,
+``BracketTable._field_into``: the Hamiltonian field {x_a, g} = sum_b
+dg/dx_b * {x_a, x_b} at the generator x_a.  {f, g} = sum_a df/dx_a *
+{x_a, g} (``_bracket_into``); the Casimir, ladder, Jacobi and compatibility
+suites and the ledger flows read fields directly.  Each table numbers its
+generators (the universe, then alpha and beta), and a monomial is one int in
+which exponent e of generator i contributes e << (i * 32), a signed 32-bit
+field, so a monomial product is one int addition (the packed exponent
+vectors of Monagan and Pearce, CASC 2007).  Exponents must stay below 2**29
+in magnitude (OverflowError otherwise, never a wrapped result), and a
 generator outside the table raises ValueError.  ``bracket_extend`` is
 gradients -> kernel -> unpack into an ``ExactPoly``.  ``pullback`` takes a
 band polynomial to A, B exactly, by packed products in the same packing;
@@ -29,12 +31,11 @@ band polynomial to A, B exactly, by packed products in the same packing;
 
 Each bracket table (``bracket2_AB``, ``bracket2_c`` per level j,
 ``bracket1_c``) is built once per (N, M, j) per process and shared by every
-suite, together with its cached entries, their packed form and the packed
-gradient of each entry {x_b, x_c}.  The suites stay packed: a Jacobiator is
-one packed dict built from cached entry gradients, a ledger polynomial's
-gradient is computed once per table, and a packed bracket is zero when no
-coefficient is nonzero, equal to another when the two dicts agree after
-dropping zero coefficients.
+suite.  Its one entry store, keyed by the generator-index pair (a, b), holds
+{x_a, x_b} as an ``ExactPoly`` and packed, and fills {x_b, x_a} with it.
+The suites stay packed: a ledger polynomial's gradient is computed once, and
+a packed bracket is zero when no coefficient is nonzero, equal to another
+when the two dicts agree after dropping zero coefficients.
 
 All verification routines return plain-dict reports listing every failing
 tuple; an empty failure list means the identity holds exactly.
@@ -87,9 +88,10 @@ class BracketTable:
 
     For the packed bracket the table numbers its generators: the universe
     in its given order, then ``alpha`` and ``beta``, which bracket to zero
-    with everything.  Entries are cached once as ``ExactPoly`` (by
-    :meth:`entry`), and once per table in packed form together with their
-    packed gradients, which the suites share.
+    with everything.  One entry store, keyed by the generator-index pair,
+    holds each entry as an ``ExactPoly`` and packed; the packed entry
+    gradients, read by the Jacobi and compatibility suites only, are cached
+    apart.
     """
 
     def __init__(
@@ -104,7 +106,6 @@ class BracketTable:
         self.N = N
         self.M = M
         self.universe = tuple(universe)
-        self._cache: dict[tuple[Gen, Gen], ExactPoly] = {}
         self._entry_fn = entry_fn
         gens = self.universe + (ALPHA, BETA)
         self._index = {g: i for i, g in enumerate(self.universe)}
@@ -112,7 +113,7 @@ class BracketTable:
         self._gens = gens
         self._order = sorted(range(len(gens)), key=gens.__getitem__)
         self._bias = sum(_HALF * u for u in self._unit.values())
-        self._rows: dict[int, dict[int, Packed]] = {}
+        self._entries: dict[tuple[int, int], tuple[ExactPoly, Packed]] = {}
         self._entry_grads: dict[tuple[int, int], Gradient] = {}
 
     def entry(self, g1: Gen, g2: Gen) -> ExactPoly:
@@ -121,14 +122,17 @@ class BracketTable:
         for g in (g1, g2):
             if g not in self._index:
                 raise ValueError(f"generator {g} outside the {self.kind} universe")
-        key = (g1, g2)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._entry_fn(g1, g2)
-            self._cache[key] = cached
-            if g1 != g2:
-                self._cache[(g2, g1)] = -cached
-        return cached
+        return self._entry(self._index[g1], self._index[g2])[0]
+
+    def _entry(self, a: int, b: int) -> tuple[ExactPoly, Packed]:
+        """{x_a, x_b} as an ``ExactPoly`` and packed, computed once per table."""
+        found = self._entries.get((a, b))
+        if found is None:
+            p = self._entry_fn(self.universe[a], self.universe[b])
+            found = self._entries[(a, b)] = (p, self._pack(p))
+            if a != b:
+                self._entries[(b, a)] = (-p, {k: -q for k, q in found[1].items()})
+        return found
 
     # packed monomials
 
@@ -179,34 +183,36 @@ class BracketTable:
         """The packed gradient of {x_a, x_b}, computed once per table."""
         grad = self._entry_grads.get((a, b))
         if grad is None:
-            grad = self._entry_grads[(a, b)] = self._gradient(
-                self.entry(self.universe[a], self.universe[b])
-            )
+            grad = self._entry_grads[(a, b)] = self._gradient(self._entry(a, b)[0])
         return grad
 
-    def _bracket_into(self, acc: Packed, df: Gradient, dg: Gradient) -> None:
-        """acc += sum_a df_a * sum_b dg_b * {x_a, x_b}, all packed.
+    def _field_into(self, acc: Packed, dg: Gradient, a: int) -> None:
+        """acc += {x_a, g} = sum_b dg/dx_b * {x_a, x_b}, all packed.
 
-        The one bracket kernel: df and dg are packed gradients (from
-        :meth:`_gradient` or :meth:`_entry_gradient`), and zero coefficients
-        may remain in acc.
+        The one bracket kernel: the Hamiltonian field of g, read at the
+        generator x_a.  dg is a packed gradient (from :meth:`_gradient` or
+        :meth:`_entry_gradient`), and zero coefficients may remain in acc.
         """
-        rows = self._rows
+        entries = self._entries
+        for b, dgb in dg.items():
+            # the store first: a method call per (a, b) costs more than the lookup
+            entry = (entries.get((a, b)) or self._entry(a, b))[1]
+            if entry:
+                _mul_into(acc, dgb, entry)
+
+    def _field(self, dg: Gradient, a: int) -> Packed:
+        """{x_a, g} as a new packed dict without zero coefficients."""
+        acc: Packed = {}
+        self._field_into(acc, dg, a)
+        return _nonzero(acc)
+
+    def _bracket_into(self, acc: Packed, df: Gradient, dg: Gradient) -> None:
+        """acc += {f, g} = sum_a df/dx_a * {x_a, g}, all packed (zero
+        coefficients may remain in acc)."""
         for a, dfa in df.items():
-            # {x_a, x_b} is packed once per table, from the entry cache.
-            row = rows.get(a)
-            if row is None:
-                row = rows[a] = {}
-            inner: Packed = {}
-            for b, dgb in dg.items():
-                entry = row.get(b)
-                if entry is None:
-                    entry = row[b] = self._pack(self.entry(self.universe[a], self.universe[b]))
-                if entry:
-                    _mul_into(inner, dgb, entry)
-            inner = {k: q for k, q in inner.items() if q}
-            if inner:
-                _mul_into(acc, dfa, inner)
+            field = self._field(dg, a)
+            if field:
+                _mul_into(acc, dfa, field)
 
 
 def _mul_into(acc: Packed, p: Packed, q: Packed) -> None:
@@ -497,11 +503,6 @@ def bracket1_c(N: int, M: int) -> BracketTable:
 # ------------------------------------------------------------ identity suites
 
 
-def _var_gradient(a: int) -> Gradient:
-    """The packed gradient of the universe generator x_a."""
-    return {a: {0: 1}}
-
-
 def _cyclic_into(
     acc: Packed, outer: BracketTable, inner: BracketTable, triple: tuple[int, int, int]
 ) -> None:
@@ -509,7 +510,7 @@ def _cyclic_into(
     the generator triple, from the cached packed entry gradients."""
     x, y, z = triple
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        outer._bracket_into(acc, _var_gradient(a), inner._entry_gradient(b, c))
+        outer._field_into(acc, inner._entry_gradient(b, c), a)
 
 
 def _triple_repr(gens: Sequence[Gen], triple: tuple[int, int, int]) -> list[str]:
@@ -609,11 +610,7 @@ def verify_ladder(N: int, M: int) -> dict:
         )
         for c, g in enumerate(gens):
             cases += 1
-            lhs: Packed = {}
-            rhs: Packed = {}
-            t1._bracket_into(lhs, d1[hi], _var_gradient(c))
-            t2._bracket_into(rhs, d2[lo], _var_gradient(c))
-            if _nonzero(lhs) != _nonzero(rhs):
+            if t1._field(d1[hi], c) != t2._field(d2[lo], c):
                 failures.append({"pair_degrees": [hi, lo], "generator": repr(ExactPoly.var(g))})
     return {
         "identity": "ladder",
@@ -632,15 +629,21 @@ def verify_involution(N: int, M: int) -> dict:
     curve = band_curve(N, M)
     t1 = bracket1_c(N, M)
     t2 = bracket2_c(N, M, 1)
+    # one gradient per ledger entry serves both tables
+    _same_packing(t1, t2)
     degrees = curve.degrees()
-    grads = {t: {d: t._gradient(curve.q(d)) for d in degrees} for t in (t1, t2)}
+    grads = {d: t1._gradient(curve.q(d)) for d in degrees}
+    # {q_i, q_j} = sum_a dq_i/dx_a * {x_a, q_j}: each field once per table
+    gens = range(len(t1.universe))
+    fields = {(t, d, a): t._field(grads[d], a) for t in (t1, t2) for d in degrees for a in gens}
     failures = []
     cases = 0
     for d1, d2 in itertools.combinations(degrees, 2):
         cases += 1
         for table, bracket in ((t2, 2), (t1, 1)):
             acc: Packed = {}
-            table._bracket_into(acc, grads[table][d1], grads[table][d2])
+            for a, dfa in grads[d1].items():
+                _mul_into(acc, dfa, fields[(table, d2, a)])
             if any(acc.values()):
                 failures.append({"pair_degrees": [d1, d2], "bracket": bracket})
     return {
@@ -660,25 +663,19 @@ def _casimir_suite(
     failures = []
     cases = 0
     witnesses: dict[int, bool] = {}
-
-    def moves(dq: Gradient, c: int) -> bool:
-        acc: Packed = {}
-        table._bracket_into(acc, dq, _var_gradient(c))
-        return any(acc.values())
-
     gens = range(len(table.universe))
     for d in curve.degrees():
         dq = table._gradient(curve.q(d))
         if d in casimirs:
             for c in gens:
                 cases += 1
-                if moves(dq, c):
+                if table._field(dq, c):
                     failures.append(
                         {"degree": d, "generator": repr(ExactPoly.var(table.universe[c]))}
                     )
         else:
             cases += 1
-            found = any(moves(dq, c) for c in gens)
+            found = any(table._field(dq, c) for c in gens)
             witnesses[d] = found
             if not found:
                 failures.append({"degree": d, "reason": "unexpected Casimir"})
@@ -756,22 +753,20 @@ def qlink_report(N: int, M: int) -> dict:
         (a, b): poly_sum(curve.poly(a, b).partial(gen_c(1, M, k)) for k in range(N))
         for a, b in slots
     }
+    # the exact law, once per slot; every ledger row's slot is one of them
+    exact = {(a, b): derivs[(a, b)] == curve.poly(a, b + 1) * -(b + 1) for a, b in slots}
     rows = []
-    exact_ok = True
     literal_ok = True
     for d in curve.degrees():
         entry = curve.ledger[d]
         a, b = entry.alpha_exp, entry.beta_exp
         deriv = derivs[(a, b)]
-        multiplier = -(b + 1)
         target_poly = curve.poly(a, b + 1)
-        exact = deriv == target_poly * multiplier
-        exact_ok &= exact
         row = {
             "source_degree": d,
             "slot": [a, b],
-            "multiplier_expected": multiplier,
-            "exact_ok": exact,
+            "multiplier_expected": -(b + 1),
+            "exact_ok": exact[(a, b)],
         }
         target_degree = d - M
         if target_degree in curve.ledger:
@@ -792,11 +787,7 @@ def qlink_report(N: int, M: int) -> dict:
                 target_poly.constant_value() if target_poly.is_constant() else None
             )
         rows.append(row)
-    slot_failures = [
-        {"slot": [a, b]}
-        for a, b in sorted(slots)
-        if derivs[(a, b)] != curve.poly(a, b + 1) * (-(b + 1))
-    ]
+    slot_failures = [{"slot": [a, b]} for a, b in sorted(slots) if not exact[(a, b)]]
     return {
         "identity": "qlink",
         "N": N,
@@ -804,9 +795,9 @@ def qlink_report(N: int, M: int) -> dict:
         "rows": rows,
         "slot_checks": len(slots),
         "slot_failures": slot_failures,
-        "exact_ok": exact_ok and not slot_failures,
+        "exact_ok": not slot_failures,
         "literal_unit_ok": literal_ok,
-        "ok": exact_ok and not slot_failures,
+        "ok": not slot_failures,
     }
 
 
@@ -894,22 +885,3 @@ def verify_jacobi(N: int, M: int) -> dict:
         "ok": not failures,
     }
 
-
-def verify_identity(identity: str, N: int, M: int) -> dict:
-    """Dispatch a named identity suite and return its report."""
-    dispatch = {
-        "jacobi": verify_jacobi,
-        "compatibility": verify_compatibility,
-        "bracrel": verify_bracrel,
-        "ladder": verify_ladder,
-        "involution": verify_involution,
-        "casimir2": verify_casimir2,
-        "casimir1": verify_casimir1,
-        "qlink": qlink_report,
-        "degree_of_bracket": verify_degree_of_bracket,
-    }
-    if identity not in dispatch:
-        raise ValueError(
-            f"unknown identity {identity!r}; pick from {sorted(dispatch)}"
-        )
-    return dispatch[identity](N, M)

@@ -15,7 +15,7 @@ from dkp import poisson
 from dkp.curve import compute_curve
 from dkp.lattice import reduction_levels
 from dkp.poisson import ab_generators, bracket_extend, c_generators, ladder_pairs
-from dkp.symalg import ExactPoly, gen_c
+from dkp.symalg import ExactPoly, gen_c, poly_sum
 
 
 def jacobi_defect(table, g1: ExactPoly, g2: ExactPoly, g3: ExactPoly) -> ExactPoly:
@@ -140,3 +140,19 @@ def closure(N: int, M: int, j: int) -> dict:
             if closed_form.entry(g1, g2).substitute(expansion) != direct:
                 failures.append({"pair": [list(g1), list(g2)]})
     return {"cases": cases, "failures": failures}
+
+
+def flow_rows(N: int, M: int, d: int) -> list[ExactPoly]:
+    """dg/dt = {g, q_d}_2 = sum_b dq_d/dx_b * {g, x_b} for every A, B generator g.
+
+    In ``ab_generators`` (state) order, from ``ExactPoly`` partials, products
+    and table entries alone; q_d is the band ledger entry with each level-1
+    c replaced by its A,B polynomial.
+    """
+    level = reduction_levels(N, M)[1]
+    expansion = {g: level[(g[2], g[3])] for g in c_generators(N, M, 1)}
+    qd = compute_curve(N, M, "band").q(d).substitute(expansion)
+    table = poisson.bracket2_AB(N, M)
+    gens = ab_generators(N, M)
+    partials = [(x, qd.partial(x)) for x in gens]
+    return [poly_sum(p * table.entry(g, x) for x, p in partials if p) for g in gens]

@@ -29,7 +29,7 @@ from fractions import Fraction
 import pytest
 
 from dkp.curve import band_curve_substituted, compute_curve, realizable_degrees
-from dkp.flows import KPStateNumeric, first_flow_rhs_AB, integrate
+from dkp.flows import KPStateNumeric, integrate
 from dkp.lattice import jacobian_rank_special
 from dkp.pipes import (
     enumerate_tpds,
@@ -43,6 +43,7 @@ from dkp.poisson import (
     bracket2_AB,
     c_generators,
     closure_verify,
+    first_flow_rhs_AB,
     qlink_report,
     verify_bracrel,
     verify_casimir1,

@@ -179,6 +179,9 @@ class TestStateFile:
             ("N", 3.9, "N must be an integer, got 3.9"),
             ("M", True, "M must be an integer, got True"),
             ("t", "nan", "t must be a finite number, got 'nan'"),
+            ("A", [["1.5", 1.0, 1.0], [1.0] * 3], "A entries must be numbers, got '1.5'"),
+            ("A", [[1.0, True, 1.0], [1.0] * 3], "A entries must be numbers, got True"),
+            ("B", [[1.0] * 3, [1.0, 1.0, None]], "B entries must be numbers, got None"),
         ],
     )
     def test_bad_field_is_a_config_error_naming_the_file(self, capsys, tmp_path, field, value, message):
@@ -188,6 +191,14 @@ class TestStateFile:
         assert code == 2
         assert report is None
         assert err == f"error: state file {path}: {message}\n"
+
+    def test_too_deeply_nested_file_is_a_config_error(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text('{"N": 3, "M": 2, "A": ' + "[" * 100_000 + "]" * 100_000 + ', "B": []}')
+        code, report, err = run_cli(capsys, "flow", "--N", "3", "--M", "2", "--state", str(path))
+        assert code == 2
+        assert report is None
+        assert err.startswith(f"error: state file {path} is not valid JSON: maximum recursion depth")
 
     def test_good_file_runs(self, capsys, tmp_path):
         path = tmp_path / "state.json"

@@ -1,11 +1,13 @@
 """Numeric flow integration and conservation drift."""
 
+import inspect
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import poisson_oracle as oracle
 from dkp import curve as curve_module
 from dkp import flows
 from dkp.curve import band_curve, compute_curve
@@ -18,7 +20,7 @@ from dkp.flows import (
     state_index,
 )
 from dkp.lattice import reduction_levels
-from dkp.poisson import bracket2_AB, c_generators, pullback
+from dkp.poisson import BracketTable, bracket2_AB, c_generators, pullback
 from dkp.symalg import ExactPoly, gen_A, gen_B
 
 
@@ -204,6 +206,47 @@ class TestBandRoute:
         integrate(state, "first", 1e-3, 0.002)
         assert modes == ["band"]
         assert not hasattr(flows, "compute_curve")
+
+
+def _compiled_terms(compiled: CompiledPoly) -> dict:
+    """(row, sorted state indices of the factors) -> coefficient, read back
+    from the prefix columns of a CompiledPoly."""
+    return {
+        (row, tuple(sorted(int(col[r]) for col in compiled.columns if len(col) > r))): q
+        for r, (row, q) in enumerate(zip(compiled.owner.tolist(), compiled.coeffs.tolist()))
+    }
+
+
+class TestCompiledFlow:
+    """Ledger flow d is the field of q_d, read at every generator from one gradient."""
+
+    @pytest.mark.parametrize("N,M", [(3, 2), (4, 3), (5, 2), (3, 4)])
+    def test_rows_are_the_exact_field(self, N, M):
+        index = state_index(N, M)
+        for d in band_curve(N, M).degrees():
+            want = {
+                (i, tuple(sorted(index[g] for g, k in mono for _ in range(k)))): float(q)
+                for i, row in enumerate(oracle.flow_rows(N, M, d))
+                for mono, q in row.terms.items()
+            }
+            assert _compiled_terms(flows._compiled_flow(N, M, d)) == want, d
+
+    def test_takes_the_gradient_of_q_d_once(self, monkeypatch):
+        calls = []
+        gradient = BracketTable._gradient
+
+        def counting(self, p):
+            calls.append(self.kind)
+            return gradient(self, p)
+
+        monkeypatch.setattr(BracketTable, "_gradient", counting)
+        flows._compiled_flow.cache_clear()
+        flows._compiled_flow(4, 3, 8)
+        assert calls == ["bracket2_AB"]
+
+    def test_flows_do_not_use_bracket_extend(self):
+        assert not hasattr(flows, "bracket_extend")
+        assert "bracket_extend" not in inspect.getsource(flows)
 
 
 class TestFlowRHS:

@@ -115,12 +115,13 @@ def test_perturbed_bracket2_entry_fails_closure_on_that_pair(monkeypatch):
 
 
 def test_mixing_tables_numbered_differently_is_refused(monkeypatch):
-    # ladder and compatibility compare or add packed data of bracket1_c and
-    # bracket2_c, which is valid only if both number c_generators alike
+    # ladder, compatibility and involution compare, add or share packed data
+    # of bracket1_c and bracket2_c, which is valid only if both number
+    # c_generators alike
     true = poisson.bracket2_c(3, 2, 1)
     reordered = BracketTable(true.kind, 3, 2, true.universe[::-1], true.entry)
     monkeypatch.setattr(poisson, "bracket2_c", lambda N, M, j: reordered)
-    for suite in (poisson.verify_ladder, poisson.verify_compatibility):
+    for suite in (poisson.verify_ladder, poisson.verify_compatibility, poisson.verify_involution):
         with pytest.raises(AssertionError, match="number their generators differently"):
             suite(3, 2)
 

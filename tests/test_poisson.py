@@ -29,8 +29,8 @@ from dkp.poisson import (
     verify_casimir2,
     verify_compatibility,
     verify_degree_of_bracket,
-    verify_identity,
     verify_involution,
+    verify_jacobi,
     verify_ladder,
 )
 from dkp.symalg import ALPHA, BETA, ExactPoly, gen_A, gen_B, gen_c, poly_sum
@@ -511,21 +511,23 @@ class TestIdentities:
         assert report["all_negative"] is (M >= 5)
         assert report["target_degrees"] == {"AA": 2 - M, "AB": 3 - M, "BB": 4 - M}
 
-    def test_dispatcher_names_and_errors(self):
-        for name in (
-            "compatibility",
-            "bracrel",
-            "ladder",
-            "involution",
-            "casimir2",
-            "casimir1",
-            "qlink",
-            "degree_of_bracket",
-        ):
-            report = verify_identity(name, 3, 1)
-            assert report["identity"] == name
-        with pytest.raises(ValueError):
-            verify_identity("nonsense", 3, 2)
+    @pytest.mark.parametrize(
+        "name,suite",
+        [
+            ("jacobi", verify_jacobi),
+            ("closure", closure_verify),
+            ("compatibility", verify_compatibility),
+            ("bracrel", verify_bracrel),
+            ("ladder", verify_ladder),
+            ("involution", verify_involution),
+            ("casimir2", verify_casimir2),
+            ("casimir1", verify_casimir1),
+            ("qlink", qlink_report),
+            ("degree_of_bracket", verify_degree_of_bracket),
+        ],
+    )
+    def test_suite_report_names_its_identity(self, name, suite):
+        assert suite(3, 1)["identity"] == name
 
     def test_ledger_polys_pass_through_extension(self):
         # spot-check an involution pair by hand: {q_1, q_12}_2 = 0 on (3,2)

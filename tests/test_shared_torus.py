@@ -29,10 +29,6 @@ ENTRY_POINTS = {
     "cli.RunConfig": lambda N, M: RunConfig(command="check", N=N, M=M),
 }
 
-# Names a module imports only so that callers can import them from it.
-REEXPORTS = {"flows": {"first_flow_rhs_AB"}}
-
-
 @pytest.mark.parametrize("N,M,message", [(4, 2, "coprime"), (0, 3, "positive")])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_every_module_rejects_a_bad_torus_alike(entry, N, M, message):
@@ -126,7 +122,7 @@ def _unused_imports(tree: ast.Module) -> set[str]:
 
 def test_no_unused_top_level_imports():
     unused = {
-        name: sorted(_unused_imports(tree) - REEXPORTS.get(name, set()))
+        name: sorted(_unused_imports(tree))
         for name, tree in _modules().items()
     }
     assert {name: names for name, names in unused.items() if names} == {}
