@@ -17,10 +17,23 @@ not given out of the namespace, so the field default applies.
 
 The numpy layers (``flows``, ``pipes``) are imported inside the subcommands
 that use them, so ``check``, plain ``curve`` and ``--version`` start without
-numpy.
+numpy.  Before any of them is imported, the CLI sets
+``OPENBLAS_NUM_THREADS=1`` unless the caller has set it: no command calls
+BLAS, so numpy starts no OpenBLAS worker pool.
 """
 
 from __future__ import annotations
+
+import os
+
+# Every command is single-threaded, and none calls BLAS: pipes is int64 only
+# and the CLI flows use take, bincount and elementwise ops.  Yet numpy starts
+# OpenBLAS's worker pool on import, which costs flow and pipes CPU time for
+# nothing.  flow, pipes and curve --numeric import their numpy layers inside
+# the subcommand, after this line; a caller's explicit setting still wins.
+# The line stays out of dkp/__init__.py: importing a library must not change
+# its caller's environment.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import json

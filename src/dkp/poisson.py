@@ -33,9 +33,12 @@ Each bracket table (``bracket2_AB``, ``bracket2_c`` per level j,
 ``bracket1_c``) is built once per (N, M, j) per process and shared by every
 suite.  Its one entry store, keyed by the generator-index pair (a, b), holds
 {x_a, x_b} as an ``ExactPoly`` and packed, and fills {x_b, x_a} with it.
-The suites stay packed: a ledger polynomial's gradient is computed once, and
-a packed bracket is zero when no coefficient is nonzero, equal to another
-when the two dicts agree after dropping zero coefficients.
+Its ledger store holds, per ledger degree d of the band curve, the packed
+gradient of q_d and each field {x_a, q_d} once computed; the ladder,
+involution and Casimir suites all read it, so each field is computed at
+most once per table.  The suites stay packed: a packed bracket is zero when
+no coefficient is nonzero, equal to another when the two dicts agree after
+dropping zero coefficients.
 
 All verification routines return plain-dict reports listing every failing
 tuple; an empty failure list means the identity holds exactly.
@@ -91,7 +94,7 @@ class BracketTable:
     with everything.  One entry store, keyed by the generator-index pair,
     holds each entry as an ``ExactPoly`` and packed; the packed entry
     gradients, read by the Jacobi and compatibility suites only, are cached
-    apart.
+    apart, and so are the ledger gradients and fields (:meth:`_ledger_field`).
     """
 
     def __init__(
@@ -115,6 +118,8 @@ class BracketTable:
         self._bias = sum(_HALF * u for u in self._unit.values())
         self._entries: dict[tuple[int, int], tuple[ExactPoly, Packed]] = {}
         self._entry_grads: dict[tuple[int, int], Gradient] = {}
+        self._ledger_grads: dict[int, Gradient] = {}
+        self._ledger_fields: dict[tuple[int, int], Packed] = {}
 
     def entry(self, g1: Gen, g2: Gen) -> ExactPoly:
         if g1 in (ALPHA, BETA) or g2 in (ALPHA, BETA):
@@ -205,6 +210,22 @@ class BracketTable:
         acc: Packed = {}
         self._field_into(acc, dg, a)
         return _nonzero(acc)
+
+    def _ledger_gradient(self, d: int) -> Gradient:
+        """The packed gradient of ledger entry q_d of the torus's band curve,
+        computed once per table.  Only the level-1 c tables contain its
+        generators."""
+        grad = self._ledger_grads.get(d)
+        if grad is None:
+            grad = self._ledger_grads[d] = self._gradient(band_curve(self.N, self.M).q(d))
+        return grad
+
+    def _ledger_field(self, d: int, a: int) -> Packed:
+        """{x_a, q_d} without zero coefficients, computed once per table."""
+        field = self._ledger_fields.get((d, a))
+        if field is None:
+            field = self._ledger_fields[(d, a)] = self._field(self._ledger_gradient(d), a)
+        return field
 
     def _bracket_into(self, acc: Packed, df: Gradient, dg: Gradient) -> None:
         """acc += {f, g} = sum_a df/dx_a * {x_a, g}, all packed (zero
@@ -425,7 +446,8 @@ def closure_verify(N: int, M: int, j: int = 1) -> dict:
 
     Each level-j variable is expanded into its A,B polynomial, bracketed
     with the sign-table bracket, and compared against the closed form with
-    the same expansion substituted in.
+    the same expansion substituted in.  The A,B side is sum_x dc_a/dx *
+    {x, c_b}, with each field {x, c_b} computed once per b.
     """
     _require_torus(N, M)
     lev = reduction_levels(N, M)[j]
@@ -436,6 +458,8 @@ def closure_verify(N: int, M: int, j: int = 1) -> dict:
     closed_form = bracket2_c(N, M, j)
     gens = c_generators(N, M, j)
     grads = [table._gradient(expansion[g]) for g in gens]
+    xs = set().union(*grads)  # the A, B generators some c_a depends on
+    fields = [{x: table._field(dg, x) for x in xs} for dg in grads]
     substitute = pullback(table, expansion)
     failures = []
     cases = 0
@@ -445,7 +469,8 @@ def closure_verify(N: int, M: int, j: int = 1) -> dict:
             cases += 1
             closed = substitute(closed_form.entry(g1, g2))
             direct: Packed = {}
-            table._bracket_into(direct, grads[a], grads[b])
+            for x, dax in grads[a].items():
+                _mul_into(direct, dax, fields[b][x])
             if _nonzero(closed) != _nonzero(direct):
                 failures.append({"pair": [list(g1), list(g2)]})
     return {
@@ -599,8 +624,6 @@ def verify_ladder(N: int, M: int) -> dict:
     failures = []
     cases = 0
     pairs = ladder_pairs(curve)
-    d1 = {hi: t1._gradient(curve.q(hi)) for hi, _ in pairs}
-    d2 = {lo: t2._gradient(curve.q(lo)) for _, lo in pairs}
     in_row = {}
     for hi, lo in pairs:
         ehi, elo = curve.ledger[hi], curve.ledger[lo]
@@ -610,7 +633,7 @@ def verify_ladder(N: int, M: int) -> dict:
         )
         for c, g in enumerate(gens):
             cases += 1
-            if t1._field(d1[hi], c) != t2._field(d2[lo], c):
+            if t1._ledger_field(hi, c) != t2._ledger_field(lo, c):
                 failures.append({"pair_degrees": [hi, lo], "generator": repr(ExactPoly.var(g))})
     return {
         "identity": "ladder",
@@ -629,20 +652,19 @@ def verify_involution(N: int, M: int) -> dict:
     curve = band_curve(N, M)
     t1 = bracket1_c(N, M)
     t2 = bracket2_c(N, M, 1)
-    # one gradient per ledger entry serves both tables
-    _same_packing(t1, t2)
     degrees = curve.degrees()
-    grads = {d: t1._gradient(curve.q(d)) for d in degrees}
-    # {q_i, q_j} = sum_a dq_i/dx_a * {x_a, q_j}: each field once per table
+    # {q_i, q_j} = sum_a dq_i/dx_a * {x_a, q_j}, inside each table's packing.
+    # Every field of both tables is filled here, once, and the Casimir suites
+    # read it from the same ledger stores.
     gens = range(len(t1.universe))
-    fields = {(t, d, a): t._field(grads[d], a) for t in (t1, t2) for d in degrees for a in gens}
+    fields = {(t, d, a): t._ledger_field(d, a) for t in (t1, t2) for d in degrees for a in gens}
     failures = []
     cases = 0
     for d1, d2 in itertools.combinations(degrees, 2):
         cases += 1
         for table, bracket in ((t2, 2), (t1, 1)):
             acc: Packed = {}
-            for a, dfa in grads[d1].items():
+            for a, dfa in table._ledger_gradient(d1).items():
                 _mul_into(acc, dfa, fields[(table, d2, a)])
             if any(acc.values()):
                 failures.append({"pair_degrees": [d1, d2], "bracket": bracket})
@@ -665,17 +687,16 @@ def _casimir_suite(
     witnesses: dict[int, bool] = {}
     gens = range(len(table.universe))
     for d in curve.degrees():
-        dq = table._gradient(curve.q(d))
         if d in casimirs:
             for c in gens:
                 cases += 1
-                if table._field(dq, c):
+                if table._ledger_field(d, c):
                     failures.append(
                         {"degree": d, "generator": repr(ExactPoly.var(table.universe[c]))}
                     )
         else:
             cases += 1
-            found = any(table._field(dq, c) for c in gens)
+            found = any(table._ledger_field(d, c) for c in gens)
             witnesses[d] = found
             if not found:
                 failures.append({"degree": d, "reason": "unexpected Casimir"})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -419,3 +420,66 @@ def test_check_and_curve_do_not_import_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _python(args: list[str], openblas: str | None) -> str:
+    """stdout of python run with args in a fresh interpreter, with
+    OPENBLAS_NUM_THREADS set to openblas, or removed from the environment
+    when openblas is None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestBlasPin:
+    """The CLI starts numpy with one OpenBLAS thread unless the caller set
+    OPENBLAS_NUM_THREADS; importing the library changes no environment."""
+
+    def _after_main(self, tmp_path, argv: list[str], openblas: str | None, then: str) -> str:
+        script = (
+            "import os\n"
+            "from dkp.cli import main\n"
+            f"assert main({argv + ['--out', str(tmp_path / 'report.json')]!r}) == 0\n"
+            f"print({then})\n"
+        )
+        return _python(["-c", script], openblas).strip()
+
+    PIPES = ["pipes", "--N", "3", "--M", "2"]
+    FLOW = ["flow", "--N", "3", "--M", "2", "--T", "0.01"]
+
+    def test_cli_sets_one_thread(self, tmp_path):
+        got = self._after_main(tmp_path, self.PIPES, None, "os.environ.get('OPENBLAS_NUM_THREADS')")
+        assert got == "1"
+
+    def test_explicit_setting_wins(self, tmp_path):
+        got = self._after_main(tmp_path, self.PIPES, "2", "os.environ.get('OPENBLAS_NUM_THREADS')")
+        assert got == "2"
+
+    def test_library_import_leaves_the_environment(self):
+        script = (
+            "import os, sys\n"
+            "import dkp.flows\n"
+            "print('dkp.cli' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        )
+        assert _python(["-c", script], None).strip() == "False None"
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+        reason="reads /proc/self/status; with one CPU OpenBLAS starts no pool anyway",
+    )
+    def test_flow_runs_on_one_thread(self, tmp_path):
+        threads = (
+            "[line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('Threads:')][0]"
+        )
+        assert self._after_main(tmp_path, self.FLOW, None, threads) == "1"
+
+    @pytest.mark.parametrize("N,M", [(4, 3), (5, 4)])
+    def test_flow_report_bytes_do_not_depend_on_blas_threads(self, N, M):
+        argv = ["-m", "dkp.cli", "flow", "--N", str(N), "--M", str(M)]
+        assert _python(argv, None) == _python(argv, "2")

@@ -9,6 +9,7 @@ import pytest
 
 import poisson_oracle as oracle
 from dkp import poisson
+from dkp.curve import band_curve
 from dkp.poisson import BracketTable, c_generators
 from dkp.symalg import ExactPoly
 
@@ -115,15 +116,18 @@ def test_perturbed_bracket2_entry_fails_closure_on_that_pair(monkeypatch):
 
 
 def test_mixing_tables_numbered_differently_is_refused(monkeypatch):
-    # ladder, compatibility and involution compare, add or share packed data
-    # of bracket1_c and bracket2_c, which is valid only if both number
-    # c_generators alike
+    # ladder and compatibility compare or add packed data of bracket1_c and
+    # bracket2_c, which is valid only if both number c_generators alike;
+    # involution brackets inside each table's own packing, so it must give
+    # the same report either way
     true = poisson.bracket2_c(3, 2, 1)
+    want = poisson.verify_involution(3, 2)
     reordered = BracketTable(true.kind, 3, 2, true.universe[::-1], true.entry)
     monkeypatch.setattr(poisson, "bracket2_c", lambda N, M, j: reordered)
-    for suite in (poisson.verify_ladder, poisson.verify_compatibility, poisson.verify_involution):
+    for suite in (poisson.verify_ladder, poisson.verify_compatibility):
         with pytest.raises(AssertionError, match="number their generators differently"):
             suite(3, 2)
+    assert poisson.verify_involution(3, 2) == want
 
 
 def test_both_tables_number_the_level_1_generators_alike():
@@ -153,3 +157,84 @@ def test_cached_entry_path_keeps_the_field_contract(monkeypatch, bad, error, sui
     monkeypatch.setattr(poisson, "bracket1_c", lambda N, M: mutant)
     with pytest.raises(error):
         suite(3, 2)
+
+
+# ------------------------------------------------------------ field counts
+
+
+def _count_fields(monkeypatch) -> list[str]:
+    """Record the table kind of every ``BracketTable._field_into`` call."""
+    calls = []
+    field_into = BracketTable._field_into
+
+    def counting(self, acc, dg, a):
+        calls.append(self.kind)
+        field_into(self, acc, dg, a)
+
+    monkeypatch.setattr(BracketTable, "_field_into", counting)
+    return calls
+
+
+def _fresh_level1_tables(N, M) -> tuple[BracketTable, BracketTable]:
+    """New bracket1_c and bracket2_c tables, with empty ledger stores."""
+    poisson.bracket1_c.cache_clear()
+    poisson.bracket2_c.cache_clear()
+    return poisson.bracket1_c(N, M), poisson.bracket2_c(N, M, 1)
+
+
+@pytest.mark.parametrize("N,M", TORI)
+def test_closure_takes_each_field_once_per_level(monkeypatch, N, M):
+    # {x, c_b} once per (b, x): at most |c-generators| * |A,B universe| fields
+    calls = _count_fields(monkeypatch)
+    universe = len(poisson.bracket2_AB(N, M).universe)
+    for j in range(1, M + 1):
+        calls.clear()
+        poisson.closure_verify(N, M, j)
+        assert 0 < len(calls) <= len(c_generators(N, M, j)) * universe, j
+
+
+@pytest.mark.parametrize("N,M", TORI)
+def test_casimir_after_involution_computes_no_field(monkeypatch, N, M):
+    _fresh_level1_tables(N, M)
+    poisson.verify_involution(N, M)
+    calls = _count_fields(monkeypatch)
+    poisson.verify_casimir1(N, M)
+    poisson.verify_casimir2(N, M)
+    assert calls == []
+
+
+@pytest.mark.parametrize("N,M", TORI)
+def test_ledger_suites_compute_each_field_once(monkeypatch, N, M):
+    t1, t2 = _fresh_level1_tables(N, M)
+    calls = _count_fields(monkeypatch)
+    for suite in (
+        poisson.verify_ladder,
+        poisson.verify_involution,
+        poisson.verify_casimir1,
+        poisson.verify_casimir2,
+    ):
+        suite(N, M)
+    fields = len(t1.universe) * len(band_curve(N, M).degrees())
+    assert len(t1._ledger_fields) == len(t2._ledger_fields) == fields
+    assert len(calls) == 2 * fields
+
+
+@pytest.mark.parametrize("N,M", TORI)
+def test_casimir_alone_stops_at_the_first_witness(monkeypatch, N, M):
+    # a Casimir degree takes every field; any other degree takes fields in
+    # generator order up to the first nonzero one, its witness
+    t1, t2 = _fresh_level1_tables(N, M)
+    calls = _count_fields(monkeypatch)
+    poisson.verify_casimir1(N, M)
+    poisson.verify_casimir2(N, M)
+    curve = band_curve(N, M)
+    gens = len(t1.universe)
+    for table, casimirs in ((t1, curve.casimir1_degrees()), (t2, curve.casimir2_degrees())):
+        for d in curve.degrees():
+            taken = [table._ledger_fields[(d, a)] for a in range(gens) if (d, a) in table._ledger_fields]
+            if d in casimirs:
+                assert len(taken) == gens, d
+            else:
+                assert not any(taken[:-1]) and taken[-1], d
+                assert all((d, a) in table._ledger_fields for a in range(len(taken))), d
+    assert len(calls) == len(t1._ledger_fields) + len(t2._ledger_fields)
