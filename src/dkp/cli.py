@@ -9,8 +9,8 @@ from the seed alone.
 
 Exit status: 0 when every check passed (or the command has nothing to check),
 1 when a verification or tolerance failed or a flow blew up, 2 for
-configuration errors — including the dedicated non-coprime torus error — and
-argparse's own usage errors.
+configuration errors — including the dedicated non-coprime torus error and an
+unreadable state file or unwritable report path — and argparse's usage errors.
 
 ``RunConfig`` holds every option default: the parser leaves an option it was
 not given out of the namespace, so the field default applies.
@@ -156,9 +156,13 @@ def _load_state(path: str, N: int, M: int):
     from .flows import KPStateNumeric
 
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ValueError(f"state file not found: {path}") from None
+    except OSError as exc:  # a directory, no read permission, ...
+        raise ValueError(f"cannot read state file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"state file {path} is not UTF-8 text: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ValueError(f"state file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or not {"N", "M", "A", "B"} <= set(data):
@@ -420,7 +424,11 @@ def main(argv: list[str] | None = None) -> int:
         "seed": cfg.seed,
         **body,
     }
-    _emit(report, cfg.out)
+    try:
+        _emit(report, cfg.out)
+    except OSError as exc:
+        print(f"error: cannot write report to {cfg.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     print(summary, file=sys.stderr)
     return 0 if ok else 1
 

@@ -23,9 +23,10 @@ from dkp.lattice import (
     abstract_level,
     c_alpha_minus_beta,
     det_minor_expansion,
+    level_entries,
     reduction_levels,
 )
-from dkp.symalg import ExactPoly, Gen, gen_c
+from dkp.symalg import ExactPoly
 from dkp.torus import _require_torus
 
 
@@ -235,11 +236,5 @@ def band_curve_substituted(curve: SpectralCurve) -> dict[tuple[int, int], ExactP
     """Band-mode coefficients with every c-generator replaced by its A,B polynomial."""
     if curve.mode != "band":
         raise ValueError("substitution applies to a band-mode curve")
-    lev = reduction_levels(curve.N, curve.M)[1]
-    mapping: dict[Gen, ExactPoly] = {
-        gen_c(1, i, k): p for (i, k), p in lev.items() if i > 0
-    }
-    return {
-        ab: p.substitute(mapping)
-        for ab, p in curve.coefficients.items()
-    }
+    mapping = level_entries(curve.N, curve.M, 1)
+    return {ab: p.substitute(mapping) for ab, p in curve.coefficients.items()}

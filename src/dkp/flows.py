@@ -24,8 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from dkp.curve import band_curve
-from dkp.lattice import reduction_levels
-from dkp.poisson import ab_generators, bracket2_AB, c_generators, pullback
+from dkp.lattice import level_entries
+from dkp.poisson import ab_generators, bracket2_AB, pullback
 from dkp.symalg import ExactPoly, Gen
 from dkp.torus import _require_torus, build_kappa, build_rho
 
@@ -64,8 +64,7 @@ class KPStateNumeric:
 
     @classmethod
     def from_flat(cls, N: int, M: int, flat: np.ndarray, t: float = 0.0):
-        nm = N * M
-        return cls(N, M, flat[:nm].reshape(M, N), flat[nm:].reshape(M, N), t)
+        return cls(N, M, flat[: N * M], flat[N * M :], t)
 
     def to_jsonable(self) -> dict:
         return {
@@ -121,21 +120,13 @@ class CompiledPoly:
 
 
 @lru_cache(maxsize=None)
-def _band_entries(N: int, M: int) -> dict[Gen, ExactPoly]:
-    """Every level-1 band generator c_i(k), i >= 1, as its A,B polynomial,
-    in ``c_generators`` order."""
-    level = reduction_levels(N, M)[1]
-    return {g: level[(g[2], g[3])] for g in c_generators(N, M, 1)}
-
-
-@lru_cache(maxsize=None)
 def _compiled_ledger(N: int, M: int):
     """Flat state -> every ledger quantity, in the order of ``curve.degrees()``.
 
     Two stacked evaluations: the state to the level-1 band entries c(x),
     then the band ledger at c(x).
     """
-    band = _band_entries(N, M)
+    band = level_entries(N, M, 1)
     entries = CompiledPoly(list(band.values()), state_index(N, M))
     curve = band_curve(N, M)
     ledger = CompiledPoly(
@@ -158,7 +149,7 @@ def _compiled_flow(N: int, M: int, degree: int) -> CompiledPoly:
             f"degree {degree} is not in the ({N},{M}) ledger {curve.degrees()}"
         )
     table = bracket2_AB(N, M)
-    dq = table._gradient(table.unpack(pullback(table, _band_entries(N, M))(curve.q(degree))))
+    dq = table._gradient(table.unpack(pullback(table, level_entries(N, M, 1))(curve.q(degree))))
     # the table numbers ab_generators, the state order
     rows = [table.unpack(table._field(dq, a)) for a in range(len(table.universe))]
     return CompiledPoly(rows, state_index(N, M))
@@ -179,19 +170,14 @@ def _first_flow_tables(N: int, M: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _first_flow_flat(N: int, M: int, flat: np.ndarray) -> np.ndarray:
+    """The first flow, straight from the evolution equations (no bracket):
+    dA(n,m) = B(n,m) - B(n+1,m) + (sum_{k,l} kappa(k-n, l-m) A(k,l)) A(n,m)
+    dB(n,m) = (sum_{k,l} rho(k-n, l-m) A(k,l)) B(n,m)
+    """
     A, B = flat[: N * M], flat[N * M :]
     K, R = _first_flow_tables(N, M)
     B_next = np.roll(B.reshape(M, N), -1, axis=1).ravel()
     return np.concatenate([B - B_next + (K @ A) * A, (R @ A) * B])
-
-
-def first_flow_rhs_numeric(state: KPStateNumeric) -> np.ndarray:
-    """Direct evaluation of the evolution equations (independent of brackets).
-
-    dA(n,m) = B(n,m) - B(n+1,m) + (sum_{k,l} kappa(k-n, l-m) A(k,l)) A(n,m)
-    dB(n,m) = (sum_{k,l} rho(k-n, l-m) A(k,l)) B(n,m)
-    """
-    return _first_flow_flat(state.N, state.M, state.flat())
 
 
 def _rhs_fn(N: int, M: int, flow):
@@ -269,14 +255,14 @@ def integrate(
 
     def snap(i: int, f: np.ndarray):
         trajectory.append(
-            {"t": state.t + i * dt, "state": KPStateNumeric(N, M, f[: N * M], f[N * M :]).to_jsonable()}
+            {"t": state.t + i * dt, "state": KPStateNumeric.from_flat(N, M, f).to_jsonable()}
         )
 
     def by_degree(values: np.ndarray) -> dict[int, float]:
         return dict(zip(degrees, values.tolist()))
 
     def result(done: int, blowup: dict | None = None) -> IntegrationResult:
-        final = KPStateNumeric(N, M, flat[: N * M], flat[N * M :], state.t + done * dt)
+        final = KPStateNumeric.from_flat(N, M, flat, state.t + done * dt)
         qf = ledger(flat)
         return IntegrationResult(
             final, done, dt, by_degree(q0), by_degree(qf), by_degree(drift), trajectory, blowup

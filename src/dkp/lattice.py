@@ -10,13 +10,16 @@ Two equivalent presentations of the same spectral problem live here:
 
 Band entries are addressed as c_i(k) = C(k, k + w - i) for a halfwidth-w
 band, i = 0..2w, and c_0 = 1 always.  All site indices are 0-based and
-periodic; level indices j run 1..M as in the reduction recursion.
+periodic; level indices j run 1..M as in the reduction recursion.  The
+reduction is built once per torus, and ``level_entries`` reads one level as
+the map c -> c(A, B).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from dkp.symalg import (
@@ -56,9 +59,6 @@ class BandMatrix:
     ) -> "BandMatrix":
         """Build from band-indexed data c[(i, k)] at offset halfwidth - i."""
         return cls(N, {(halfwidth - i, k): p for (i, k), p in c.items()})
-
-    def band_entries(self, halfwidth: int) -> dict[tuple[int, int], ExactPoly]:
-        return {(halfwidth - o, k): p for (o, k), p in self.entries.items()}
 
     def entry(self, k: int, l: int) -> ExactPoly:
         return self.entries.get((l - k, k % self.N), ExactPoly.zero())
@@ -123,28 +123,6 @@ class BandMatrix:
             out = out + self.entries.get((0, k), ExactPoly.zero())
         return out
 
-    def to_jsonable(self) -> dict:
-        w = self.halfwidth()
-        return {
-            "N": self.N,
-            "halfwidth": w,
-            "entries": [
-                [w - o, k, p.to_jsonable()]
-                for (o, k), p in sorted(self.entries.items())
-            ],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "BandMatrix":
-        w = data["halfwidth"]
-        return cls(
-            data["N"],
-            {
-                (w - i, k): ExactPoly.from_jsonable(p)
-                for i, k, p in data["entries"]
-            },
-        )
-
 
 def x_band(N: int, M: int, m: int) -> BandMatrix:
     """The tridiagonal factor: superdiagonal 1, diagonal -A(., m), subdiagonal -B(., m)."""
@@ -200,13 +178,27 @@ def reduce_step(N: int, M: int, j: int, upper: LevelData) -> LevelData:
     return out
 
 
+@lru_cache(maxsize=None)
 def reduction_levels(N: int, M: int) -> dict[int, LevelData]:
-    """All levels M..1 of the block row reduction, as polynomials in A, B."""
+    """All levels M..1 of the block row reduction, as polynomials in A, B,
+    built once per torus; callers only read them."""
     _require_torus(N, M)
     levels = {M: top_level(N, M)}
     for j in range(M - 1, 0, -1):
         levels[j] = reduce_step(N, M, j, levels[j + 1])
     return levels
+
+
+def c_generators(N: int, M: int, j: int = 1) -> list[Gen]:
+    return [gen_c(j, i, k) for i in range(1, 2 * (M + 1 - j) + 1) for k in range(N)]
+
+
+@lru_cache(maxsize=None)
+def level_entries(N: int, M: int, j: int) -> dict[Gen, ExactPoly]:
+    """Every level-j band generator c_i(k), i >= 1, as its A,B polynomial, in
+    ``c_generators`` order, built once per (N, M, j); callers only read it."""
+    level = reduction_levels(N, M)[j]
+    return {g: level[(g[2], g[3])] for g in c_generators(N, M, j)}
 
 
 def abstract_level(N: int, M: int, j: int) -> LevelData:

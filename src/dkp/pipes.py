@@ -485,12 +485,12 @@ def _product_groups(counts1: np.ndarray, counts2: np.ndarray) -> tuple[np.ndarra
     return keys[first[order]].reshape(-1, *shape), rank[inverse.ravel()]
 
 
-def verify_pairing_consistency(N: int, M: int, max_degree: int | None = None) -> dict:
+def verify_pairing_consistency(N: int, M: int) -> dict:
     """Cross-check both pairing formulas and antisymmetry on all diagram pairs."""
     _require_torus(N, M)
-    top = N * M if max_degree is None else max_degree
-    diagrams = [d for deg in range(0, top + 1) for d in enumerate_tpds(N, M, deg)]
-    counts = _piece_counts(diagrams, N, M)
+    degrees = range(N * M + 1)
+    diagrams = [d for deg in degrees for d in enumerate_tpds(N, M, deg)]
+    counts = np.concatenate([_counts_cached(N, M, deg) for deg in degrees])
     knee, kappa_sum = _pairing_matrices(counts, counts, N, M)
     bad = np.argwhere((knee != kappa_sum) | (knee != -knee.T))
     failures = [

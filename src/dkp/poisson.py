@@ -52,7 +52,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from dkp.curve import SpectralCurve, band_curve
-from dkp.lattice import BandMatrix, abstract_level, reduction_levels
+from dkp.lattice import BandMatrix, abstract_level, c_generators, level_entries
 from dkp.symalg import (
     ALPHA,
     BETA,
@@ -379,12 +379,6 @@ def first_flow_rhs_AB(N: int, M: int) -> dict[Gen, ExactPoly]:
 # --------------------------------------------------------- bracket2 on c-level
 
 
-def c_generators(N: int, M: int, j: int = 1) -> list[Gen]:
-    return [
-        gen_c(j, i, k) for i in range(1, 2 * (M + 1 - j) + 1) for k in range(N)
-    ]
-
-
 def induced_bracket_c(
     N: int, M: int, j: int, g1: tuple[int, int], g2: tuple[int, int]
 ) -> ExactPoly:
@@ -450,10 +444,7 @@ def closure_verify(N: int, M: int, j: int = 1) -> dict:
     {x, c_b}, with each field {x, c_b} computed once per b.
     """
     _require_torus(N, M)
-    lev = reduction_levels(N, M)[j]
-    expansion: dict[Gen, ExactPoly] = {
-        gen_c(j, i, k): p for (i, k), p in lev.items() if i > 0
-    }
+    expansion = level_entries(N, M, j)
     table = bracket2_AB(N, M)
     closed_form = bracket2_c(N, M, j)
     gens = c_generators(N, M, j)

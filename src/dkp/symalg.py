@@ -16,7 +16,6 @@ enter unless :meth:`ExactPoly.evaluate` is handed floats.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -194,9 +193,6 @@ class ExactPoly:
 
     # queries
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return all(m == () for m in self.terms)
 
@@ -230,11 +226,6 @@ class ExactPoly:
             if d.pop(gen, 0) == exp:
                 acc[tuple(sorted(d.items()))] = q
         return ExactPoly(acc)
-
-    def exponent_range(self, gen: Gen) -> tuple[int, int]:
-        """(min, max) exponent of gen over all terms (0s count when absent)."""
-        exps = [dict(mono).get(gen, 0) for mono in self.terms] or [0]
-        return min(exps), max(exps)
 
     def alpha_beta_decomposition(self) -> dict[tuple[int, int], "ExactPoly"]:
         """Split into coefficients of alpha**a beta**b."""
@@ -314,13 +305,6 @@ class ExactPoly:
             key = tuple((tuple(g), e) for g, e in mono)
             terms[key] = _norm_scalar(Fraction(num, den))
         return cls(terms)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExactPoly":
-        return cls.from_jsonable(json.loads(text))
 
     def __repr__(self) -> str:
         if not self.terms:

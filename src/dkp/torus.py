@@ -18,7 +18,6 @@ process.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,17 +40,12 @@ def _require_torus(N: int, M: int) -> None:
 class SignFunction:
     """A function Z/N x Z/M -> small integers, stored as a dense table.
 
-    ``kind`` records which table this is ("kappa", "rho", "phi", "zeta",
-    "custom"); zeta tables also carry their (x, y) parameters.  Values are
-    indexed as ``values[m][n]`` (row per second coordinate).
+    Values are indexed as ``values[m][n]`` (row per second coordinate).
     """
 
     N: int
     M: int
-    kind: str
     values: tuple[tuple[int, ...], ...]
-    x: int | None = None
-    y: int | None = None
 
     def __call__(self, n: int, m: int) -> int:
         return self.values[m % self.M][n % self.N]
@@ -68,41 +62,10 @@ class SignFunction:
             if v != 0
         ]
 
-    def to_json(self) -> str:
-        header = {"N": self.N, "M": self.M, "kind": self.kind}
-        if self.x is not None:
-            header["x"] = self.x
-        if self.y is not None:
-            header["y"] = self.y
-        header["values"] = [list(row) for row in self.values]
-        return json.dumps(header, sort_keys=True)
-
     @classmethod
-    def from_json(cls, text: str) -> "SignFunction":
-        data = json.loads(text)
-        return cls(
-            N=data["N"],
-            M=data["M"],
-            kind=data["kind"],
-            values=tuple(tuple(row) for row in data["values"]),
-            x=data.get("x"),
-            y=data.get("y"),
-        )
-
-    @classmethod
-    def from_table(
-        cls,
-        N: int,
-        M: int,
-        kind: str,
-        table: dict[Point, int],
-        x: int | None = None,
-        y: int | None = None,
-    ) -> "SignFunction":
-        values = tuple(
-            tuple(table.get((n, m), 0) for n in range(N)) for m in range(M)
-        )
-        return cls(N=N, M=M, kind=kind, values=values, x=x, y=y)
+    def from_table(cls, N: int, M: int, table: dict[Point, int]) -> "SignFunction":
+        values = tuple(tuple(table.get((n, m), 0) for n in range(N)) for m in range(M))
+        return cls(N=N, M=M, values=values)
 
 
 @dataclass(frozen=True)
@@ -167,7 +130,7 @@ def solve_difference_spec(spec: DifferenceSpec) -> SignFunction:
             raise ValueError("pin does not select a unique shift")
     s = shifts[0]
     table = {pt: v + s for pt, v in rel.items()}
-    return SignFunction.from_table(N, M, "custom", table)
+    return SignFunction.from_table(N, M, table)
 
 
 def kappa_difference_spec(N: int, M: int) -> DifferenceSpec:
@@ -247,7 +210,7 @@ def build_kappa(N: int, M: int) -> SignFunction:
     """
     _require_torus(N, M)
     if N == 1 or M == 1:
-        return SignFunction.from_table(N, M, "kappa", {})
+        return SignFunction.from_table(N, M, {})
     case = euclid_parity(N, M)
     end = (1 % N, 0) if case == 1 else (0, (-1) % M)
     table: dict[Point, int] = {}
@@ -262,7 +225,7 @@ def build_kappa(N: int, M: int) -> SignFunction:
             break
         if t > N * M:
             raise RuntimeError("kappa trail failed to terminate")
-    return SignFunction.from_table(N, M, "kappa", table)
+    return SignFunction.from_table(N, M, table)
 
 
 @lru_cache(maxsize=None)
@@ -279,7 +242,7 @@ def build_rho(N: int, M: int) -> SignFunction:
             if (n, m) == ((-1) % N, 0):
                 v -= 1
             table[(n, m)] = v
-    return SignFunction.from_table(N, M, "rho", table)
+    return SignFunction.from_table(N, M, table)
 
 
 @lru_cache(maxsize=None)
@@ -292,7 +255,7 @@ def build_phi(N: int, M: int) -> SignFunction:
         for m in range(M)
         for n in range(N)
     }
-    return SignFunction.from_table(N, M, "phi", table)
+    return SignFunction.from_table(N, M, table)
 
 
 def _zeta_le(N: int, M: int, x: int, y: int, k: SignFunction) -> dict[Point, int]:
@@ -333,7 +296,7 @@ def build_zeta(N: int, M: int, x: int, y: int) -> SignFunction:
             for m in range(M)
             for n in range(N)
         }
-    return SignFunction.from_table(N, M, "zeta", table, x=x, y=y)
+    return SignFunction.from_table(N, M, table)
 
 
 def zeta_row_slice(N: int, M: int, x: int) -> list[int]:

@@ -201,12 +201,45 @@ class TestStateFile:
         assert report is None
         assert err.startswith(f"error: state file {path} is not valid JSON: maximum recursion depth")
 
+    OPTIONS = [("flow", "--state"), ("curve", "--numeric")]
+
+    @pytest.mark.parametrize("command,option", OPTIONS)
+    def test_directory_is_a_config_error_naming_it(self, capsys, tmp_path, command, option):
+        code, report, err = run_cli(capsys, command, "--N", "3", "--M", "2", option, str(tmp_path))
+        assert (code, report) == (2, None)
+        assert err == f"error: cannot read state file {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("command,option", OPTIONS)
+    def test_non_utf8_file_is_a_config_error_naming_it(self, capsys, tmp_path, command, option):
+        path = tmp_path / "state.json"
+        path.write_bytes(b"\xff\xfe")
+        code, report, err = run_cli(capsys, command, "--N", "3", "--M", "2", option, str(path))
+        assert (code, report) == (2, None)
+        assert err.startswith(f"error: state file {path} is not UTF-8 text: ")
+        assert err.count("\n") == 1
+
     def test_good_file_runs(self, capsys, tmp_path):
         path = tmp_path / "state.json"
         path.write_text(json.dumps({**self.GOOD, "t": 2}))
         code, report, _ = run_cli(capsys, "flow", "--N", "3", "--M", "2", "--T", "0.01", "--state", str(path))
         assert code == 0
         assert report["state_final"]["t"] == pytest.approx(2.01)
+
+
+class TestOutPath:
+    """An unwritable --out is a configuration error: exit 2, one line, no traceback."""
+
+    def test_directory(self, capsys, tmp_path):
+        code, report, err = run_cli(capsys, "curve", "--N", "3", "--M", "1", "--out", str(tmp_path))
+        assert (code, report) == (2, None)
+        assert err == f"error: cannot write report to {tmp_path}: Is a directory\n"
+
+    def test_path_under_a_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, report, err = run_cli(capsys, "curve", "--N", "3", "--M", "1", "--out", str(path))
+        assert (code, report) == (2, None)
+        assert err == f"error: cannot write report to {path}: No such file or directory\n"
+        assert not path.parent.exists()
 
 
 class TestFlow:

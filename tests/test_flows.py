@@ -14,12 +14,11 @@ from dkp.curve import band_curve, compute_curve
 from dkp.flows import (
     CompiledPoly,
     KPStateNumeric,
-    first_flow_rhs_numeric,
     flow_rhs,
     integrate,
     state_index,
 )
-from dkp.lattice import reduction_levels
+from dkp.lattice import level_entries, reduction_levels
 from dkp.poisson import BracketTable, bracket2_AB, c_generators, pullback
 from dkp.symalg import ExactPoly, gen_A, gen_B
 
@@ -199,7 +198,7 @@ class TestBandRoute:
             return compute(N, M, mode)
 
         monkeypatch.setattr(curve_module, "compute_curve", recording)
-        for cached in (band_curve, flows._band_entries, flows._compiled_ledger, flows._compiled_flow):
+        for cached in (band_curve, level_entries, flows._compiled_ledger, flows._compiled_flow):
             cached.cache_clear()
         state = KPStateNumeric.random(3, 2, seed=1)
         integrate(state, 4, 1e-3, 0.002)
@@ -254,7 +253,7 @@ class TestFlowRHS:
         # dA(n) = B(n) - B(n+1); dB(n) = (A(n) - A(n-1)) B(n)
         N = 4
         s = KPStateNumeric.random(N, 1, seed=3)
-        rhs = first_flow_rhs_numeric(s)
+        rhs = flow_rhs("first", s)
         A, B = s.A[0], s.B[0]
         for n in range(N):
             assert rhs[n] == pytest.approx(B[n] - B[(n + 1) % N], rel=1e-14)

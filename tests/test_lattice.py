@@ -9,10 +9,12 @@ from dkp.lattice import (
     abstract_level,
     c_alpha,
     c_alpha_minus_beta,
+    c_generators,
     det_minor_expansion,
     dominance_point_random,
     dominance_point_special,
     dominance_rank,
+    level_entries,
     level_halfwidth,
     matrix_rank_exact,
     reduce_step,
@@ -82,10 +84,10 @@ def test_band_matrix_transpose_band_index_map():
     for N, M in [(3, 2), (4, 3)]:
         w = M
         lev = reduction_levels(N, M)[1]
-        t = BandMatrix.from_band_entries(N, w, lev).transpose().band_entries(w)
+        t = BandMatrix.from_band_entries(N, w, lev).transpose().entries
         for (i, k), p in lev.items():
-            if p:
-                assert t[(2 * w - i, (k + w - i) % N)] == p
+            if p:  # band index 2w - i of the transpose sits at offset i - w
+                assert t[(i - w, (k + w - i) % N)] == p
 
 
 def test_band_matrix_upper_lower_split():
@@ -106,12 +108,8 @@ def test_band_matrix_commutator_self_is_zero():
     assert x.commutator(x).entries == {}
 
 
-def test_band_matrix_halfwidth_and_serialization_roundtrip():
-    c = band_product(3, 2)
-    assert c.halfwidth() == 2
-    data = c.to_jsonable()
-    assert data["N"] == 3 and data["halfwidth"] == 2
-    assert BandMatrix.from_jsonable(data) == c
+def test_band_matrix_halfwidth():
+    assert band_product(3, 2).halfwidth() == 2
 
 
 # ---------------------------------------------------------- reduction levels
@@ -153,6 +151,15 @@ def test_two_layer_level_one_closed_forms(N):
         assert lev[(2, k)] == -B(N, k, 1) + A(N, k, 1) * A(N, k, 0) - B(N, k + 1, 0)
         assert lev[(3, k)] == A(N, k - 1, 0) * B(N, k, 1) + B(N, k, 0) * A(N, k, 1)
         assert lev[(4, k)] == B(N, k - 1, 0) * B(N, k, 1)
+
+
+@pytest.mark.parametrize("N,M", TORI)
+def test_level_entries_read_each_level_in_c_generators_order(N, M):
+    levels = reduction_levels(N, M)
+    for j in range(1, M + 1):
+        entries = level_entries(N, M, j)
+        assert list(entries) == c_generators(N, M, j)
+        assert entries == {gen_c(j, i, k): p for (i, k), p in levels[j].items() if i > 0}
 
 
 def test_top_level_is_single_factor():

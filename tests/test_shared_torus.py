@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dkp import curve, poisson
+from dkp import curve, lattice, poisson
 from dkp.cli import RunConfig, build_parser, main
 from dkp.curve import band_curve, compute_curve
 from dkp.flows import KPStateNumeric
@@ -68,6 +68,24 @@ def test_check_builds_the_band_curve_once_and_no_ab_curve(monkeypatch, capsys):
     assert main(["check", "--N", "3", "--M", "4", "--suite", "all"]) == 0
     capsys.readouterr()
     assert modes == ["band"]
+
+
+def test_check_reduces_each_level_once(monkeypatch, capsys):
+    lattice.reduction_levels.cache_clear()
+    lattice.level_entries.cache_clear()
+    steps = []
+    reduce_step = lattice.reduce_step
+
+    def counting(N, M, j, upper):
+        steps.append(j)
+        return reduce_step(N, M, j, upper)
+
+    monkeypatch.setattr(lattice, "reduce_step", counting)
+    N, M = 3, 4
+    assert main(["check", "--N", str(N), "--M", str(M), "--suite", "all"]) == 0
+    capsys.readouterr()
+    # the closure suite reads every level; the reduction runs each step once
+    assert sorted(steps) == list(range(1, M))
 
 
 def _modules() -> dict[str, ast.Module]:

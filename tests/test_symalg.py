@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -41,7 +42,7 @@ def small_polys() -> st.SearchStrategy[ExactPoly]:
 def test_constructor_drops_zeros():
     p = ExactPoly({((gen_A(0, 0), 1),): 0, (): 3})
     assert p.terms == {(): 3}
-    assert ExactPoly.const(0).is_zero()
+    assert not ExactPoly.const(0)
 
 
 def test_basic_arithmetic():
@@ -106,13 +107,12 @@ def test_alpha_beta_decomposition():
     assert set(dec) == {(1, 0), (0, 2), (-1, 0), (0, 0)}
 
 
-def test_coefficient_and_exponent_range():
+def test_coefficient():
     b = ExactPoly.var(BETA)
     p = b**2 * X + b * (X + Z) + Z
     assert p.coefficient(BETA, 2) == X
     assert p.coefficient(BETA, 1) == X + Z
     assert p.coefficient(BETA, 0) == Z
-    assert p.exponent_range(BETA) == (0, 2)
 
 
 def test_partial_derivative():
@@ -120,7 +120,7 @@ def test_partial_derivative():
     assert p.partial(gen_A(0, 0)) == 2 * X * Y + 3
     assert p.partial(gen_A(1, 0)) == X**2
     assert p.partial(gen_B(0, 0)) == ExactPoly.const(1)
-    assert p.partial(gen_B(5, 5)).is_zero()
+    assert not p.partial(gen_B(5, 5))
     # Leibniz rule on products
     f, g = X + Z, X * Y
     lhs = (f * g).partial(gen_A(0, 0))
@@ -150,9 +150,9 @@ def test_evaluate():
 
 def test_json_roundtrip():
     p = X * Y - Z / 3 + ExactPoly.var(ALPHA, -2) * 7
-    q = ExactPoly.from_json(p.to_json())
+    q = ExactPoly.from_jsonable(json.loads(json.dumps(p.to_jsonable())))
     assert q == p
-    assert ExactPoly.from_json(ExactPoly.zero().to_json()).is_zero()
+    assert not ExactPoly.from_jsonable(json.loads(json.dumps(ExactPoly.zero().to_jsonable())))
 
 
 def test_repr_is_stable():
@@ -165,7 +165,7 @@ def test_repr_is_stable():
 def test_poly_sum():
     parts = [X, Y, -X, Z]
     assert poly_sum(parts) == Y + Z
-    assert poly_sum([]).is_zero()
+    assert not poly_sum([])
 
 
 @settings(max_examples=80, deadline=None)
@@ -178,7 +178,7 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
     assert p + ExactPoly.zero() == p
     assert p * ExactPoly.const(1) == p
-    assert (p - p).is_zero()
+    assert not p - p
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from dkp.torus import (
     DifferenceSpec,
-    SignFunction,
     build_kappa,
     build_phi,
     build_rho,
@@ -80,8 +79,8 @@ def test_single_column_torus_all_zero(M):
 def test_builders_agree_with_difference_solver(N, M):
     k = build_kappa(N, M)
     r = build_rho(N, M)
-    assert solve_difference_spec(kappa_difference_spec(N, M)).values == k.values
-    assert solve_difference_spec(rho_difference_spec(N, M)).values == r.values
+    assert solve_difference_spec(kappa_difference_spec(N, M)) == k
+    assert solve_difference_spec(rho_difference_spec(N, M)) == r
 
 
 @pytest.mark.parametrize("N,M", COPRIME_PAIRS)
@@ -304,15 +303,6 @@ def test_solver_ambiguity_needs_pin():
     pinned = DifferenceSpec(N=3, M=2, jumps=(), pin=((1, 1), -1))
     sol = solve_difference_spec(pinned)
     assert all(v == -1 for row in sol.values for v in row)
-
-
-def test_signfunction_json_roundtrip():
-    for build, name in [(build_kappa, "kappa"), (build_rho, "rho")]:
-        f = build(5, 3)
-        g = SignFunction.from_json(f.to_json())
-        assert g == f
-    z = build_zeta(3, 2, 2, 1)
-    assert SignFunction.from_json(z.to_json()) == z
 
 
 @settings(max_examples=60, deadline=None)
