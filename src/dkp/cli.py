@@ -9,17 +9,27 @@ from the seed alone.
 
 Exit status: 0 when every check passed (or the command has nothing to check),
 1 when a verification or tolerance failed or a flow blew up, 2 for
-configuration errors — including the dedicated non-coprime torus error and an
-unreadable state file or unwritable report path — and argparse's usage errors.
+configuration errors — including the dedicated non-coprime torus error, an
+unreadable state file and an unwritable ``--out`` (refused before any work)
+— and argparse's usage errors.
 
 ``RunConfig`` holds every option default: the parser leaves an option it was
 not given out of the namespace, so the field default applies.
 
-The numpy layers (``flows``, ``pipes``) are imported inside the subcommands
-that use them, so ``check``, plain ``curve`` and ``--version`` start without
-numpy.  Before any of them is imported, the CLI sets
-``OPENBLAS_NUM_THREADS=1`` unless the caller has set it: no command calls
-BLAS, so numpy starts no OpenBLAS worker pool.
+Each command imports only the layers it runs, inside its handler: ``check``
+imports ``poisson`` (which brings in ``curve``), ``curve`` imports ``curve``
+(and the numpy layer ``flows`` only with ``--numeric``), ``flow`` imports
+``flows`` and ``pipes`` imports ``pipes``.  ``--version``, ``--help``, usage
+errors and configuration errors load no algebra layer, and ``check`` and
+plain ``curve`` start without numpy.  Before any numpy layer is imported,
+the CLI sets ``OPENBLAS_NUM_THREADS=1`` unless the caller has set it: no
+command calls BLAS, so numpy starts no OpenBLAS worker pool.
+
+``run`` is the process entry point (``dkp`` and ``python -m dkp.cli``): it
+calls ``main``, flushes stdout and stderr, and ends the process with
+``os._exit``, so the interpreter does not spend time freeing every cached
+table after the report is written.  ``main`` returns the exit status and is
+what in-process callers use.
 """
 
 from __future__ import annotations
@@ -36,42 +46,34 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import errno
 import json
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
-from .curve import compute_curve
-from .poisson import (
-    closure_verify,
-    qlink_report,
-    verify_casimir1,
-    verify_casimir2,
-    verify_compatibility,
-    verify_involution,
-    verify_jacobi,
-    verify_ladder,
-)
 from .torus import _require_torus
 
-# Suite name -> (N, M) -> {check name: report}, in report order.  The entries
-# look the suite functions up in this module at call time.
+# Suite name -> (poisson module, N, M) -> {check name: report}, in report
+# order.  The entries look the suite functions up in the module at call time,
+# so the module is imported only when a check runs.
 _SUITES = {
-    "jacobi": lambda N, M: {"jacobi": verify_jacobi(N, M)},
-    "closure": lambda N, M: {
-        f"closure-level-{j}": closure_verify(N, M, j) for j in range(1, M + 1)
+    "jacobi": lambda p, N, M: {"jacobi": p.verify_jacobi(N, M)},
+    "closure": lambda p, N, M: {
+        f"closure-level-{j}": p.closure_verify(N, M, j) for j in range(1, M + 1)
     },
-    "ladder": lambda N, M: {"ladder": verify_ladder(N, M)},
-    "involution": lambda N, M: {"involution": verify_involution(N, M)},
-    "compat": lambda N, M: {"compat": verify_compatibility(N, M)},
-    "casimir": lambda N, M: {
-        "casimir1": verify_casimir1(N, M),
-        "casimir2": verify_casimir2(N, M),
+    "ladder": lambda p, N, M: {"ladder": p.verify_ladder(N, M)},
+    "involution": lambda p, N, M: {"involution": p.verify_involution(N, M)},
+    "compat": lambda p, N, M: {"compat": p.verify_compatibility(N, M)},
+    "casimir": lambda p, N, M: {
+        "casimir1": p.verify_casimir1(N, M),
+        "casimir2": p.verify_casimir2(N, M),
     },
-    "qlink": lambda N, M: {"qlink": qlink_report(N, M)},
+    "qlink": lambda p, N, M: {"qlink": p.qlink_report(N, M)},
 }
 SUITES = tuple(_SUITES)
 
@@ -116,6 +118,23 @@ class RunConfig:
             raise ValueError(f"--record-every must be a positive step count, got {self.record_every}")
         if self.drift_tolerance <= 0:
             raise ValueError(f"drift tolerance must be positive, got {self.drift_tolerance}")
+        if self.out:
+            _check_report_path(self.out)
+
+
+def _check_report_path(path: str) -> None:
+    """Refuse, before any work, a report path the final write would fail on:
+    a directory, a path under a missing directory, or one not writable."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write report to {path}: {os.strerror(code)}")
 
 
 # --------------------------------------------------------------------------
@@ -150,6 +169,7 @@ def _emit(report: dict, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a failed write must surface here, not at exit
 
 
 def _load_state(path: str, N: int, M: int):
@@ -200,6 +220,8 @@ def _load_state(path: str, N: int, M: int):
 
 
 def _cmd_curve(cfg: RunConfig) -> tuple[dict, bool, str]:
+    from .curve import compute_curve
+
     curve = compute_curve(cfg.N, cfg.M)
     body = curve.to_jsonable()
     if cfg.numeric:
@@ -227,11 +249,13 @@ def _normalize_check(name: str, report: dict) -> dict:
 
 
 def _cmd_check(cfg: RunConfig) -> tuple[dict, bool, str]:
+    from . import poisson
+
     wanted = SUITES if cfg.suite == "all" else (cfg.suite,)
     checks = [
         _normalize_check(name, report)
         for suite in wanted
-        for name, report in _SUITES[suite](cfg.N, cfg.M).items()
+        for name, report in _SUITES[suite](poisson, cfg.N, cfg.M).items()
     ]
     failures = [
         {"check": c["name"], "detail": f} for c in checks for f in c["failures"]
@@ -433,5 +457,25 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if ok else 1
 
 
+def run() -> NoReturn:
+    """Run ``main`` on ``sys.argv`` and end the process with its exit status.
+
+    argparse's ``SystemExit`` (``--version``, ``--help``, usage errors) ends
+    the process the same way.  Once stdout and stderr are flushed nothing is
+    left to write, so the process ends with ``os._exit`` and skips the
+    interpreter's teardown.
+    """
+    try:
+        status = main()
+    except SystemExit as exc:  # argparse exits with an int status
+        status = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # a failed report write was already reported by main
+            status = status or 2
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -84,7 +84,7 @@ import numpy as np
 from .curve import _curve_slots, realizable_degrees, slot_degree
 from .lattice import reduction_levels
 from .symalg import ExactPoly, Gen, Scalar, gen_B, poly_A
-from .torus import _require_torus, build_kappa
+from .torus import SignFunction, _require_torus, build_kappa
 
 Site = tuple[int, int]
 
@@ -455,34 +455,63 @@ def _counts_cached(N: int, M: int, degree: int) -> np.ndarray:
     return counts
 
 
+@lru_cache(maxsize=None)
+def _kappa_matrix(kappa: SignFunction) -> np.ndarray:
+    """The read-only circulant K[s, t] = kappa(s - t) over the sites n*M + m."""
+    N, M = kappa.N, kappa.M
+    values = np.array(kappa.values, dtype=np.int64)  # values[m][n]
+    n, m = np.divmod(np.arange(N * M), M)
+    K = values[(m[:, None] - m) % M, (n[:, None] - n) % N]
+    K.flags.writeable = False
+    return K
+
+
 def _pairing_matrices(
     counts1: np.ndarray, counts2: np.ndarray, N: int, M: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both routes for every ordered pair: ``(L1 - R1) H2^T`` and ``H1 K H2^T``."""
-    values = np.array(build_kappa(N, M).values, dtype=np.int64)  # values[m][n]
-    n, m = np.divmod(np.arange(N * M), M)
-    K = values[(m[:, None] - m) % M, (n[:, None] - n) % N]
+    K = _kappa_matrix(build_kappa(N, M))
     H1, L1, R1 = counts1[:, 0], counts1[:, 1], counts1[:, 2]
     H2 = counts2[:, 0]
     return (L1 - R1) @ H2.T, H1 @ K @ H2.T
 
 
-def _product_groups(counts1: np.ndarray, counts2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the ordered pairs of two diagram lists by product.
+# A product is keyed by its summed H and L rows: the R row of a closed
+# diagram is its L row moved one row down (a left-down knee at (n, m) feeds
+# the up-right knee at (n, m - 1)), so it adds nothing to the key.  Every
+# summed entry is at most 2, so the 2NM entries are exact base-3 digits, cut
+# into int64 chunks of _CHUNK digits; one diagram's chunk is at most
+# (3**_CHUNK - 1) / 2, and the sum of two stays below 3**_CHUNK < 2**63.
+_CHUNK = 39
 
-    Pair (i, j) has flat index ``i * len(counts2) + j``.  Returns the product
-    count row of each group, shape (groups, 3, NM), and the group of each
-    pair.  Groups are numbered in the order of their first pair.
+
+def _product_codes(counts1: np.ndarray, counts2: np.ndarray) -> np.ndarray:
+    """Int64 product codes of the ordered pairs, shape (chunks, pairs).
+
+    Pair (i, j) is column ``i * len(counts2) + j``; two pairs have the same
+    product exactly when their columns are equal.
     """
-    shape = counts1.shape[1:]
-    keys = counts1.astype(np.int8)[:, None] + counts2.astype(np.int8)[None, :]  # entries <= 2
-    keys = keys.reshape(len(counts1) * len(counts2), shape[0] * shape[1])
-    packed = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return keys[first[order]].reshape(-1, *shape), rank[inverse.ravel()]
+    k = np.arange(2 * counts1.shape[2])  # digit k is entry k of the flattened [H | L] row
+    weights = np.zeros((len(k), k[-1] // _CHUNK + 1), dtype=np.int64)
+    weights[k, k // _CHUNK] = 3 ** (k % _CHUNK)
+    code1, code2 = (c[:, :2].reshape(len(c), len(k)) @ weights for c in (counts1, counts2))
+    return (code1[:, None] + code2[None, :]).reshape(-1, weights.shape[1]).T
+
+
+def _product_groups(counts1: np.ndarray, counts2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the ordered pairs of two nonempty diagram lists by product.
+
+    Returns ``order``, the pair columns of ``_product_codes`` sorted by
+    product, ties in column order, and ``starts``, the position in ``order``
+    where each group of equal products begins; so ``order[start]`` is the
+    first pair of its group.
+    """
+    codes = _product_codes(counts1, counts2)
+    order = np.lexsort(codes)  # stable
+    ranked = codes[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    return order, np.flatnonzero(new)
 
 
 def verify_pairing_consistency(N: int, M: int) -> dict:
@@ -514,10 +543,18 @@ def verify_pairing_consistency(N: int, M: int) -> dict:
 
 
 def sum_zero_check(N: int, M: int, degree1: int, degree2: int) -> dict:
-    """Group ordered diagram pairs by product; every group must sum to zero."""
+    """Group ordered diagram pairs by product; every group must sum to zero.
+
+    Groups are numbered in the order of their first pair, and a group's
+    pairs are listed in pair order.
+    """
     _require_torus(N, M)
     diags1 = enumerate_tpds(N, M, degree1)
     diags2 = enumerate_tpds(N, M, degree2)
+    report = {"N": N, "M": M, "degrees": [degree1, degree2], "pairs": len(diags1) * len(diags2)}
+    if not report["pairs"]:  # a degree without diagrams: no pair, no group
+        empty = {"groups": 0, "max_group_size": 0, "nonzero_pairings": 0, "nonzero_groups": []}
+        return {**report, **empty, "ok": True}
     counts1 = _counts_cached(N, M, degree1)
     counts2 = _counts_cached(N, M, degree2)
     knee, kappa_sum = _pairing_matrices(counts1, counts2, N, M)
@@ -527,33 +564,31 @@ def sum_zero_check(N: int, M: int, degree1: int, degree2: int) -> dict:
         raise RuntimeError(
             f"pairing routes disagree: knee count {knee[i, j]}, kappa sum {kappa_sum[i, j]}"
         )
-    keys, group = _product_groups(counts1, counts2)
+    order, starts = _product_groups(counts1, counts2)
+    ends = np.append(starts[1:], len(order))
     values = knee.ravel()
-    totals = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(totals, group, values)
+    totals = np.add.reduceat(values[order], starts)
     bad = []
-    for g in np.flatnonzero(totals):
-        flat = np.flatnonzero(group == g)
-        members = [(*divmod(int(f), len(diags2)), int(values[f])) for f in flat]
+    for g in sorted(np.flatnonzero(totals), key=lambda g: order[starts[g]]):
+        flat = order[starts[g] : ends[g]]
+        i, j = divmod(int(flat[0]), len(diags2))
+        product = counts1[i] + counts2[j]
         bad.append(
             {
                 "product": [
                     f"{s // M},{s % M}:{piece}"
                     for s in range(N * M)
                     for k, piece in enumerate(_PIECE_ORDER)
-                    for _ in range(keys[g, k, s])
+                    for _ in range(product[k, s])
                 ],
                 "total": int(totals[g]),
-                "pairs": members,
+                "pairs": [(*divmod(int(f), len(diags2)), int(values[f])) for f in flat],
             }
         )
     return {
-        "N": N,
-        "M": M,
-        "degrees": [degree1, degree2],
-        "pairs": len(diags1) * len(diags2),
-        "groups": len(keys),
-        "max_group_size": int(np.bincount(group).max()) if len(group) else 0,
+        **report,
+        "groups": len(starts),
+        "max_group_size": int((ends - starts).max()),
         "nonzero_pairings": int(np.count_nonzero(knee)),
         "nonzero_groups": bad,
         "ok": not bad,
@@ -568,11 +603,11 @@ def decomposition_partners(
     N, M = d1.N, d1.M
     diags1 = enumerate_tpds(N, M, d1.degree)
     diags2 = enumerate_tpds(N, M, d2.degree)
-    _, group = _product_groups(_counts_cached(N, M, d1.degree), _counts_cached(N, M, d2.degree))
+    codes = _product_codes(_counts_cached(N, M, d1.degree), _counts_cached(N, M, d2.degree))
     own = diags1.index(d1) * len(diags2) + diags2.index(d2)
     return [
         (diags1[f // len(diags2)], diags2[f % len(diags2)])
-        for f in np.flatnonzero(group == group[own])
+        for f in np.flatnonzero((codes == codes[:, own, None]).all(axis=0))
         if f != own
     ]
 

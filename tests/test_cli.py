@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from dkp import __version__
+from dkp import __version__, cli, curve
 from dkp.cli import SUITES, RunConfig, main
 
 ENVELOPE = ("command", "version", "N", "M", "seed")
@@ -240,6 +243,24 @@ class TestOutPath:
         assert (code, report) == (2, None)
         assert err == f"error: cannot write report to {path}: No such file or directory\n"
         assert not path.parent.exists()
+
+    @pytest.mark.parametrize("target", ["directory", "missing"])
+    def test_refused_before_any_work(self, capsys, tmp_path, monkeypatch, target):
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "report.json"
+        calls = []
+        monkeypatch.setattr(curve, "compute_curve", lambda *args: calls.append(args))
+        code, report, err = run_cli(capsys, "curve", "--N", "5", "--M", "3", "--out", str(out))
+        assert (code, report, calls) == (2, None, [])
+        assert err.startswith(f"error: cannot write report to {out}: ")
+
+    def test_unwritable_directory(self, capsys, tmp_path, monkeypatch):
+        # os.access stands in for a directory without write permission, which
+        # a process running as root could still write to
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        path = tmp_path / "report.json"
+        code, report, err = run_cli(capsys, "curve", "--N", "3", "--M", "1", "--out", str(path))
+        assert (code, report) == (2, None)
+        assert err == f"error: cannot write report to {path}: Permission denied\n"
 
 
 class TestFlow:
@@ -516,3 +537,140 @@ class TestBlasPin:
     def test_flow_report_bytes_do_not_depend_on_blas_threads(self, N, M):
         argv = ["-m", "dkp.cli", "flow", "--N", str(N), "--M", str(M)]
         assert _python(argv, None) == _python(argv, "2")
+
+
+def _dkp_modules_after(argv: list[str]) -> list[str]:
+    """The dkp and numpy modules loaded by main(argv) in a fresh interpreter
+    (``numpy`` standing for every numpy module)."""
+    script = (
+        "import sys\n"
+        "from dkp.cli import main\n"
+        "try:\n"
+        f"    main({argv!r})\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "names = {m.split('.')[0] if m.startswith('numpy') else m for m in sys.modules}\n"
+        "print(sorted(m for m in names if m in ('dkp', 'numpy') or m.startswith('dkp.')))\n"
+    )
+    return _python(["-c", script], None).splitlines()[-1]
+
+
+class TestImportSets:
+    """Each command imports only the layers it runs."""
+
+    def test_version_loads_no_layer(self):
+        assert _dkp_modules_after(["--version"]) == "['dkp', 'dkp.cli', 'dkp.torus']"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--N", "4", "--M", "2"],  # a configuration error
+            ["curve", "--N", "3"],  # a usage error
+        ],
+    )
+    def test_errors_load_no_layer(self, argv):
+        assert _dkp_modules_after(argv) == "['dkp', 'dkp.cli', 'dkp.torus']"
+
+    def test_pipes_and_curve_leave_poisson_out(self, tmp_path):
+        out = str(tmp_path / "report.json")
+        pipes = _dkp_modules_after(["pipes", "--N", "3", "--M", "2", "--pairings", "--sum-zero", "--out", out])
+        assert pipes == "['dkp', 'dkp.cli', 'dkp.curve', 'dkp.lattice', 'dkp.pipes', 'dkp.symalg', 'dkp.torus', 'numpy']"
+        plain_curve = _dkp_modules_after(["curve", "--N", "3", "--M", "2", "--out", out])
+        assert plain_curve == "['dkp', 'dkp.cli', 'dkp.curve', 'dkp.lattice', 'dkp.symalg', 'dkp.torus']"
+
+    def test_check_loads_poisson_and_no_numpy(self, tmp_path):
+        out = str(tmp_path / "report.json")
+        modules = _dkp_modules_after(["check", "--N", "3", "--M", "1", "--suite", "qlink", "--out", out])
+        assert modules == "['dkp', 'dkp.cli', 'dkp.curve', 'dkp.lattice', 'dkp.poisson', 'dkp.symalg', 'dkp.torus']"
+
+
+def _dkp_process(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "dkp.cli", *argv], capture_output=True, timeout=300, **kwargs
+    )
+
+
+class TestFastExit:
+    """``python -m dkp.cli`` ends right after the report is flushed, with the
+    report bytes and exit status of an in-process ``main``."""
+
+    COMMANDS = {
+        "check": ["check", "--N", "3", "--M", "2", "--suite", "all"],
+        "curve": ["curve", "--N", "3", "--M", "2"],
+        "flow": ["flow", "--N", "3", "--M", "2", "--T", "0.05", "--seed", "5"],
+        "pipes": ["pipes", "--N", "3", "--M", "2", "--pairings", "--sum-zero"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_report_bytes_match_in_process_main(self, capsys, tmp_path, command):
+        argv = self.COMMANDS[command]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        piped = _dkp_process(argv)
+        assert (piped.returncode, piped.stdout, piped.stderr) == (
+            0, captured.out.encode(), captured.err.encode()
+        )
+        path = tmp_path / "report.json"
+        to_file = _dkp_process([*argv, "--out", str(path)])
+        assert (to_file.returncode, to_file.stdout) == (0, b"")
+        assert path.read_bytes() == captured.out.encode()
+
+    @pytest.mark.parametrize(
+        "argv,status",
+        [
+            (["flow", "--N", "3", "--M", "2", "--T", "0.05", "--drift-tolerance", "1e-18"], 1),
+            (["check", "--N", "4", "--M", "2"], 2),
+            (["check", "--N", "3", "--M", "2", "--suite", "bogus"], 2),
+            (["--version"], 0),
+        ],
+        ids=["tolerance", "non-coprime", "usage", "version"],
+    )
+    def test_exit_status_carries_through(self, capsys, argv, status):
+        try:
+            in_process = main(argv)
+        except SystemExit as exc:
+            in_process = exc.code
+        captured = capsys.readouterr()
+        proc = _dkp_process(argv)
+        assert in_process == proc.returncode == status
+        assert (proc.stdout, proc.stderr) == (captured.out.encode(), captured.err.encode())
+
+    def test_run_skips_interpreter_teardown(self):
+        script = (
+            "import atexit, sys\n"
+            "from dkp import cli\n"
+            "atexit.register(print, 'teardown', file=sys.stderr)\n"
+            "sys.argv = ['dkp', 'check', '--N', '3', '--M', '1', '--suite', 'qlink']\n"
+            "cli.run()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ok"] is True
+        assert proc.stderr.endswith("0 failures\n")
+        assert "teardown" not in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_stdout_write_exits_2(self):
+        # buffered stdout, so the short report fails only when it is flushed
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dkp.cli", "check", "--N", "3", "--M", "1", "--suite", "qlink"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write report to stdout: No space left on device\n"
+
+
+def test_script_entry_point_is_the_main_block_call():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    target = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]["dkp"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (block,) = [
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{name}()"]

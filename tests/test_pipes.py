@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,18 @@ ENUMERATION_DIGESTS = {
     (7, 2): "cb40b82e1b9b7f6e79906912ce70f59ecca309f229e68503cc67ace1c7a9a0c5",
     (5, 4): "ae498db8195c8ea485fd88ad2dd06ba18ae96024b2045bfd4429fe202dba5621",
     (7, 3): "d48ba1b4748ba82bdba01fa03173e2b8615cb9e9cde3b0987c54c85bf2439c95",
+}
+
+
+# sha256 over json.dumps(sum_zero_check(N, M, d1, d2), sort_keys=True) for
+# every ordered degree pair, d1 outer, recorded from the grouping that keyed
+# each pair by its int8 count row through np.unique.
+SUM_ZERO_DIGESTS = {
+    (3, 2): "d316040333e9b1cc795aaddfefce2347056fe34d5d3b69603bec490a1b63dee4",
+    (5, 2): "8cd4302f8fa7d8c2bc68edd07ae79bcdf83c22f214b35a007931958a2b573c89",
+    (3, 4): "6b67b923d5587ecfb4e7a6e8b253908b0e89fbd18240dad6a26f8eba72aed434",
+    (5, 3): "4b96884dd57b0ab9a7b7baf2d7ef21a5f4052dcda3716fe5263fc2ba0ad411a3",
+    (7, 2): "042bc4ae6c655d1572f581999240ec4d0e869b3529ee9a115281a5904cad624f",
 }
 
 
@@ -565,6 +578,28 @@ class TestMatrixFormOracle:
     def test_sum_zero_matches_loops_on_5_3(self, degrees):
         assert sum_zero_check(5, 3, *degrees) == reference_sum_zero(5, 3, *degrees)
 
+    @pytest.mark.parametrize("N,M", [(3, 4), (5, 3), (7, 2)])
+    def test_sum_zero_matches_loops_on_every_cli_block(self, N, M):
+        # the blocks d1 <= d2 that `pipes --sum-zero` runs, empty ones included
+        for d1 in range(N * M + 1):
+            for d2 in range(d1, N * M + 1):
+                assert sum_zero_check(N, M, d1, d2) == reference_sum_zero(N, M, d1, d2)
+
+    @pytest.mark.parametrize("degrees", [(1, 1), (1, 2), (8, 12)])
+    def test_sum_zero_matches_loops_with_two_code_chunks(self, degrees):
+        # 2NM = 40 base-3 digits on (5,4): each product code spans two int64s
+        assert pipes._product_codes(*(pipes._counts_cached(5, 4, d) for d in degrees)).shape[0] == 2
+        assert sum_zero_check(5, 4, *degrees) == reference_sum_zero(5, 4, *degrees)
+
+    @pytest.mark.parametrize("N,M", sorted(SUM_ZERO_DIGESTS))
+    def test_sum_zero_reports_pinned(self, N, M):
+        digest = hashlib.sha256()
+        for d1 in range(N * M + 1):
+            for d2 in range(N * M + 1):
+                report = sum_zero_check(N, M, d1, d2)
+                digest.update(json.dumps(report, sort_keys=True).encode())
+        assert digest.hexdigest() == SUM_ZERO_DIGESTS[N, M]
+
     def test_partners_match_loops(self):
         for a in enumerate_tpds(3, 2, 1) + enumerate_tpds(3, 2, 4):
             for b in enumerate_tpds(3, 2, 2):
@@ -585,7 +620,8 @@ class TestMatrixFormOracle:
             for d1 in range(7):
                 for d2 in range(d1, 7):
                     sum_zero_check(3, 2, d1, d2)
-            assert len(built) == 7
+            # once per degree with diagrams; degree 5 has none and builds none
+            assert built == [2, 6, 3, 2, 3, 1]
             counts = pipes._counts_cached(3, 2, 2)
             assert not counts.flags.writeable
             assert np.array_equal(counts, piece_counts(enumerate_tpds(3, 2, 2), 3, 2))
@@ -645,6 +681,8 @@ class TestMatrixFormMutations:
         [
             (3, 2, (2, 4), [(0, 0)]),  # one pairing in one group
             (4, 3, (5, 5), [(40, 2), (3, 7), (3, 9)]),  # groups out of order
+            (5, 3, (4, 7), [(120, 80), (7, 3), (60, 1), (7, 4)]),
+            (5, 4, (1, 2), [(19, 100), (2, 5), (11, 40)]),  # two-chunk codes
         ],
     )
     def test_perturbed_pairing_fails_its_group(self, monkeypatch, N, M, degrees, targets):
