@@ -578,11 +578,6 @@ class TestImportSets:
         plain_curve = _dkp_modules_after(["curve", "--N", "3", "--M", "2", "--out", out])
         assert plain_curve == "['dkp', 'dkp.cli', 'dkp.curve', 'dkp.lattice', 'dkp.symalg', 'dkp.torus']"
 
-    def test_check_loads_poisson_and_no_numpy(self, tmp_path):
-        out = str(tmp_path / "report.json")
-        modules = _dkp_modules_after(["check", "--N", "3", "--M", "1", "--suite", "qlink", "--out", out])
-        assert modules == "['dkp', 'dkp.cli', 'dkp.curve', 'dkp.lattice', 'dkp.poisson', 'dkp.symalg', 'dkp.torus']"
-
 
 def _dkp_process(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run(
