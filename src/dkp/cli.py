@@ -10,8 +10,8 @@ from the seed alone.
 Exit status: 0 when every check passed (or the command has nothing to check),
 1 when a verification or tolerance failed or a flow blew up, 2 for
 configuration errors — including the dedicated non-coprime torus error, an
-unreadable state file and an unwritable ``--out`` (refused before any work)
-— and argparse's usage errors.
+unreadable state file, and an unwritable ``--out`` or a ``pipes --degree``
+outside [0, NM] (both refused before any work) — and argparse's usage errors.
 
 ``RunConfig`` holds every option default: the parser leaves an option it was
 not given out of the namespace, so the field default applies.
@@ -20,10 +20,10 @@ Each command imports only the layers it runs, inside its handler: ``check``
 imports ``poisson`` (which brings in ``curve``), ``curve`` imports ``curve``
 (and the numpy layer ``flows`` only with ``--numeric``), ``flow`` imports
 ``flows`` and ``pipes`` imports ``pipes``.  ``--version``, ``--help``, usage
-errors and configuration errors load no algebra layer, and ``check`` and
-plain ``curve`` start without numpy.  Before any numpy layer is imported,
-the CLI sets ``OPENBLAS_NUM_THREADS=1`` unless the caller has set it: no
-command calls BLAS, so numpy starts no OpenBLAS worker pool.
+errors and configuration errors load no algebra layer, and only ``flow`` and
+``curve --numeric`` import numpy.  Before any numpy layer is imported, the
+CLI sets ``OPENBLAS_NUM_THREADS=1`` unless the caller has set it: no command
+calls BLAS, so numpy starts no OpenBLAS worker pool.
 
 ``run`` is the process entry point (``dkp`` and ``python -m dkp.cli``): it
 calls ``main``, flushes stdout and stderr, and ends the process with
@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import os
 
-# Every command is single-threaded, and none calls BLAS: pipes is int64 only
-# and the CLI flows use take, bincount and elementwise ops.  Yet numpy starts
-# OpenBLAS's worker pool on import, which costs flow and pipes CPU time for
-# nothing.  flow, pipes and curve --numeric import their numpy layers inside
-# the subcommand, after this line; a caller's explicit setting still wins.
+# Every command is single-threaded, and none calls BLAS: the CLI flows use
+# take, bincount and elementwise ops.  Yet numpy starts OpenBLAS's worker pool
+# on import, which costs flow CPU time for nothing.  flow and curve --numeric,
+# the only commands that import numpy, import their numpy layer inside the
+# subcommand, after this line; a caller's explicit setting still wins.
 # The line stays out of dkp/__init__.py: importing a library must not change
 # its caller's environment.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -102,6 +102,8 @@ class RunConfig:
         if self.command not in _HANDLERS:
             raise ValueError(f"unknown command {self.command!r}")
         _require_torus(self.N, self.M)
+        if self.command == "pipes" and self.degree is not None and not 0 <= self.degree <= self.N * self.M:
+            raise ValueError(f"degree must lie in [0, {self.N * self.M}], got {self.degree}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.suite != "all" and self.suite not in SUITES:

@@ -40,22 +40,27 @@ written the other way round the count comes out with the opposite sign on
 every pair, which the exhaustive cross-check against the bracket rules out.
 All of this is verified mechanically at desk scale by the test suite.
 
-The exhaustive checks run as integer matrix algebra.  Row r of the int64
-matrices H, L and R is the 0/1 indicator of diagram r's horizontal,
-left-down and up-right pieces over the sites n*M + m, and K is the
-circulant kappa matrix, K[s, t] = kappa(s - t).  Then, over all ordered
-pairs at once,
+The exhaustive checks run on packed Python ints.  Number the diagrams of
+all degrees in `enumerate_tpds` order; row r of the 0/1 matrices H, L and R
+marks diagram r's horizontal, left-down and up-right pieces over the sites
+n*M + m, and K is the circulant kappa matrix, K[s, t] = kappa(s - t).  Then,
+over all ordered pairs at once,
 
     knee route    P = (L - R) H^T
     kappa route   P = H K H^T
     antisymmetry  P = -P^T
 
-and the product of a pair is the sum of the two diagrams' [H | L | R]
-count rows (each entry at most 2), so grouping pairs by product is grouping
-equal summed rows.  The arithmetic is exact: no float enters, every entry
-is bounded by NM on the knee route and by (NM)^2 max|kappa| on the kappa
-route, and a group total adds at most one knee entry per pair, all far
-inside int64.  `pairing` computes a single entry by both routes.
+Row i of P is one int whose signed field j, at bit width*j, is entry (i, j).
+With hcol[t] column t of H packed so, row i of the knee route is the sum of
+hcol[t] over L_i minus that over R_i, row i of the kappa route is the sum
+over H_i of kcol[s] = sum_t kappa(s - t) hcol[t], and column i of the knee
+route is the sum over H_i of the packed columns of L - R; each check on a
+row is one int equality.  The field is the narrowest of 8, 16, 32 and 64
+bits that holds the exact bound (NM)^2 max|kappa|; a bound that does not
+fit raises OverflowError, so no value is ever wrapped.  A pair's product is
+keyed by the sum of its diagrams' codes, which give each entry of the
+[H | L] count row a 2-bit field; a summed entry is at most 2, so equal sums
+are equal products.  `pairing` computes one entry by both routes.
 
 The diagrams are built row by row from the port rules alone.  A site uses
 no ports, W-E (horizontal), W-S (left-down), N-E (up-right) or all four
@@ -74,12 +79,13 @@ bijection, which concerns the nonconstant ledger entries.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate, compress
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .curve import _curve_slots, realizable_degrees, slot_degree
 from .lattice import reduction_levels
@@ -431,107 +437,111 @@ def product_key(d1: PipeDiagram, d2: PipeDiagram) -> tuple[tuple[Site, str], ...
     return tuple(sorted(d1.pieces + d2.pieces))
 
 
-# Matrix form.  A diagram is a (3, NM) 0/1 count row: its horizontal,
-# left-down and up-right pieces (in the sorted order of the piece names)
-# at site n*M + m.  Every array is int64 or int8; no float is involved.
+# Packed form (see the module docstring).
 
-_PIECE_ORDER = (HORIZONTAL, LEFT_DOWN, UP_RIGHT)
+_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}  # signed memoryview formats by field width
 
 
-def _piece_counts(diagrams: Sequence[PipeDiagram], N: int, M: int) -> np.ndarray:
-    """Stack the diagrams' count rows into an int64 array of shape (len, 3, NM)."""
-    counts = np.zeros((len(diagrams), 3, N * M), dtype=np.int64)
-    for r, diag in enumerate(diagrams):
-        for k, sites in enumerate((diag.horizontal, diag.left_down, diag.up_right)):
-            counts[r, k, [n * M + m for n, m in sites]] = 1
-    return counts
+def _code(d: PipeDiagram) -> int:
+    """The product code of a diagram.  It leaves R out: a product's R row is
+    its L row moved one row down, as each left-down knee feeds an up-right one."""
+    NM = d.N * d.M
+    return sum(1 << 2 * (n * d.M + m) for n, m in d.horizontal) + sum(
+        1 << 2 * (NM + n * d.M + m) for n, m in d.left_down
+    )
 
 
-@lru_cache(maxsize=None)
-def _counts_cached(N: int, M: int, degree: int) -> np.ndarray:
-    """The read-only count rows of ``enumerate_tpds(N, M, degree)``."""
-    counts = _piece_counts(_tpds(N, M)[degree], N, M)
-    counts.flags.writeable = False
-    return counts
-
-
-@lru_cache(maxsize=None)
-def _kappa_matrix(kappa: SignFunction) -> np.ndarray:
-    """The read-only circulant K[s, t] = kappa(s - t) over the sites n*M + m."""
+def _pairing_rows(
+    kappa: SignFunction, diagrams: Sequence[PipeDiagram], width: int
+) -> tuple[list[int], list[int], list[int]]:
+    """The packed rows of ``(L - R) H^T`` and ``H K H^T`` and the packed
+    columns of ``(L - R) H^T`` over `diagrams`, fields `width` bits apart."""
     N, M = kappa.N, kappa.M
-    values = np.array(kappa.values, dtype=np.int64)  # values[m][n]
-    n, m = np.divmod(np.arange(N * M), M)
-    K = values[(m[:, None] - m) % M, (n[:, None] - n) % N]
-    K.flags.writeable = False
-    return K
+    sites = [(n, m) for n in range(N) for m in range(M)]  # site n*M + m
+
+    def columns(pieces: str) -> list[int]:
+        cols = [bytearray(width // 8 * len(diagrams)) for _ in sites]
+        for j, d in enumerate(diagrams):
+            for n, m in getattr(d, pieces):
+                cols[n * M + m][width // 8 * j] = 1
+        return [int.from_bytes(c, "little") for c in cols]
+
+    def gather(cols: list[int], at: frozenset[Site]) -> int:
+        return sum(cols[n * M + m] for n, m in at)
+
+    hcol, lcol, rcol = columns("horizontal"), columns("left_down"), columns("up_right")
+    kcol = [sum(kappa(n - p, m - q) * h for (p, q), h in zip(sites, hcol)) for n, m in sites]
+    knee_cols = [lc - rc for lc, rc in zip(lcol, rcol)]
+    return (
+        [gather(hcol, d.left_down) - gather(hcol, d.up_right) for d in diagrams],
+        [gather(kcol, d.horizontal) for d in diagrams],
+        [gather(knee_cols, d.horizontal) for d in diagrams],
+    )
 
 
-def _pairing_matrices(
-    counts1: np.ndarray, counts2: np.ndarray, N: int, M: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both routes for every ordered pair: ``(L1 - R1) H2^T`` and ``H1 K H2^T``."""
-    K = _kappa_matrix(build_kappa(N, M))
-    H1, L1, R1 = counts1[:, 0], counts1[:, 1], counts1[:, 2]
-    H2 = counts2[:, 0]
-    return (L1 - R1) @ H2.T, H1 @ K @ H2.T
+@dataclass(frozen=True)
+class _PairingTable:
+    """One packed knee row per diagram, fields in `width`-bit two's complement;
+    degree d has diagrams ``starts[d]`` to ``starts[d + 1] - 1``.  ``failing``
+    maps each row failing the kappa route or antisymmetry to its kappa row
+    and knee column, packed the same way."""
+
+    width: int
+    starts: tuple[int, ...]
+    codes: tuple[int, ...]
+    knee: tuple[int, ...]
+    failing: dict[int, tuple[int, int]]
+
+    def decode(self, row: int) -> memoryview:
+        """The fields of a packed row, read in ``sys.byteorder`` as ``poisson._mono`` does."""
+        raw = row.to_bytes(self.width // 8 * len(self.codes), sys.byteorder)
+        return memoryview(raw).cast(_FORMATS[self.width])
 
 
-# A product is keyed by its summed H and L rows: the R row of a closed
-# diagram is its L row moved one row down (a left-down knee at (n, m) feeds
-# the up-right knee at (n, m - 1)), so it adds nothing to the key.  Every
-# summed entry is at most 2, so the 2NM entries are exact base-3 digits, cut
-# into int64 chunks of _CHUNK digits; one diagram's chunk is at most
-# (3**_CHUNK - 1) / 2, and the sum of two stays below 3**_CHUNK < 2**63.
-_CHUNK = 39
-
-
-def _product_codes(counts1: np.ndarray, counts2: np.ndarray) -> np.ndarray:
-    """Int64 product codes of the ordered pairs, shape (chunks, pairs).
-
-    Pair (i, j) is column ``i * len(counts2) + j``; two pairs have the same
-    product exactly when their columns are equal.
-    """
-    k = np.arange(2 * counts1.shape[2])  # digit k is entry k of the flattened [H | L] row
-    weights = np.zeros((len(k), k[-1] // _CHUNK + 1), dtype=np.int64)
-    weights[k, k // _CHUNK] = 3 ** (k % _CHUNK)
-    code1, code2 = (c[:, :2].reshape(len(c), len(k)) @ weights for c in (counts1, counts2))
-    return (code1[:, None] + code2[None, :]).reshape(-1, weights.shape[1]).T
-
-
-def _product_groups(counts1: np.ndarray, counts2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort the ordered pairs of two nonempty diagram lists by product.
-
-    Returns ``order``, the pair columns of ``_product_codes`` sorted by
-    product, ties in column order, and ``starts``, the position in ``order``
-    where each group of equal products begins; so ``order[start]`` is the
-    first pair of its group.
-    """
-    codes = _product_codes(counts1, counts2)
-    order = np.lexsort(codes)  # stable
-    ranked = codes[:, order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
-    return order, np.flatnonzero(new)
+@lru_cache(maxsize=None)
+def _pairing_table(kappa: SignFunction) -> _PairingTable:
+    """The pairing table of kappa's torus, built once per kappa table."""
+    N, M = kappa.N, kappa.M
+    # a knee entry is at most NM, a kappa entry at most (NM)^2 max|kappa|
+    bound = N * M * max(1, N * M * max(abs(v) for row in kappa.values for v in row))
+    width = next((w for w in _FORMATS if bound < 1 << (w - 1)), None)
+    if width is None:
+        raise OverflowError(f"pairing bound {bound} does not fit a 64-bit field")
+    diagrams = [d for ds in _tpds(N, M) for d in ds]
+    knee, kappa_sum, reverse = _pairing_rows(kappa, diagrams, width)
+    # The bias lifts every field into [0, 2^width) without a carry; flipping
+    # each field's top bit then leaves it in two's complement.
+    bias = int.from_bytes((1 << width - 1).to_bytes(width // 8, "little") * len(diagrams), "little")
+    failing = {
+        i: ((q + bias) ^ bias, (r + bias) ^ bias)
+        for i, (k, q, r) in enumerate(zip(knee, kappa_sum, reverse))
+        if k != q or k != -r
+    }
+    starts = tuple(accumulate((len(ds) for ds in _tpds(N, M)), initial=0))
+    codes = tuple(map(_code, diagrams))
+    return _PairingTable(width, starts, codes, tuple((k + bias) ^ bias for k in knee), failing)
 
 
 def verify_pairing_consistency(N: int, M: int) -> dict:
     """Cross-check both pairing formulas and antisymmetry on all diagram pairs."""
     _require_torus(N, M)
-    degrees = range(N * M + 1)
-    diagrams = [d for deg in degrees for d in enumerate_tpds(N, M, deg)]
-    counts = np.concatenate([_counts_cached(N, M, deg) for deg in degrees])
-    knee, kappa_sum = _pairing_matrices(counts, counts, N, M)
-    bad = np.argwhere((knee != kappa_sum) | (knee != -knee.T))
-    failures = [
-        {
-            "d1": diagrams[i].site_map(),
-            "d2": diagrams[j].site_map(),
-            "knee": int(knee[i, j]),
-            "kappa_sum": int(kappa_sum[i, j]),
-            "reverse": int(knee[j, i]),
-        }
-        for i, j in bad
-    ]
+    diagrams = [d for deg in range(N * M + 1) for d in enumerate_tpds(N, M, deg)]
+    table = _pairing_table(build_kappa(N, M))
+    failures = []
+    for i, (kappa_row, reverse_col) in sorted(table.failing.items()):
+        knee = table.decode(table.knee[i])
+        kappa_sum, reverse = table.decode(kappa_row), table.decode(reverse_col)
+        failures += [
+            {
+                "d1": diagrams[i].site_map(),
+                "d2": diagrams[j].site_map(),
+                "knee": k,
+                "kappa_sum": kappa_sum[j],
+                "reverse": reverse[j],
+            }
+            for j, k in enumerate(knee)
+            if k != kappa_sum[j] or k != -reverse[j]
+        ]
     return {
         "N": N,
         "M": M,
@@ -555,43 +565,43 @@ def sum_zero_check(N: int, M: int, degree1: int, degree2: int) -> dict:
     if not report["pairs"]:  # a degree without diagrams: no pair, no group
         empty = {"groups": 0, "max_group_size": 0, "nonzero_pairings": 0, "nonzero_groups": []}
         return {**report, **empty, "ok": True}
-    counts1 = _counts_cached(N, M, degree1)
-    counts2 = _counts_cached(N, M, degree2)
-    knee, kappa_sum = _pairing_matrices(counts1, counts2, N, M)
-    disagree = np.argwhere(knee != kappa_sum)
-    if len(disagree):
-        i, j = disagree[0]
-        raise RuntimeError(
-            f"pairing routes disagree: knee count {knee[i, j]}, kappa sum {kappa_sum[i, j]}"
-        )
-    order, starts = _product_groups(counts1, counts2)
-    ends = np.append(starts[1:], len(order))
-    values = knee.ravel()
-    totals = np.add.reduceat(values[order], starts)
-    bad = []
-    for g in sorted(np.flatnonzero(totals), key=lambda g: order[starts[g]]):
-        flat = order[starts[g] : ends[g]]
-        i, j = divmod(int(flat[0]), len(diags2))
-        product = counts1[i] + counts2[j]
-        bad.append(
-            {
-                "product": [
-                    f"{s // M},{s % M}:{piece}"
-                    for s in range(N * M)
-                    for k, piece in enumerate(_PIECE_ORDER)
-                    for _ in range(product[k, s])
-                ],
-                "total": int(totals[g]),
-                "pairs": [(*divmod(int(f), len(diags2)), int(values[f])) for f in flat],
-            }
-        )
+    table = _pairing_table(build_kappa(N, M))
+    lo1, lo2 = table.starts[degree1], table.starts[degree2]
+    hi1, hi2 = lo1 + len(diags1), lo2 + len(diags2)
+    rows = [table.decode(table.knee[i])[lo2:hi2] for i in range(lo1, hi1)]
+    for i in sorted(table.failing.keys() & range(lo1, hi1)):
+        kappa_sum = table.decode(table.failing[i][0])[lo2:hi2]
+        for k, q in zip(rows[i - lo1], kappa_sum):
+            if k != q:
+                raise RuntimeError(f"pairing routes disagree: knee count {k}, kappa sum {q}")
+    codes1, codes2 = table.codes[lo1:hi1], table.codes[lo2:hi2]
+    sizes: Counter[int] = Counter()
+    totals: defaultdict[int, int] = defaultdict(int)  # over the nonzero pairings only
+    nonzero = 0
+    for c1, row in zip(codes1, rows):
+        keys = list(map(c1.__add__, codes2))
+        sizes.update(keys)
+        values = list(compress(row, row))
+        nonzero += len(values)
+        for key, k in zip(compress(keys, row), values):
+            totals[key] += k
+    records: dict[int, dict] = {}
+    if any(totals.values()):  # rebuild the failure records, groups in order of first pair
+        for i, (c1, row) in enumerate(zip(codes1, rows)):
+            for j, (c2, k) in enumerate(zip(codes2, row)):
+                if totals.get(c1 + c2):
+                    if c1 + c2 not in records:
+                        pieces = product_key(diags1[i], diags2[j])
+                        product = [f"{n},{m}:{piece}" for (n, m), piece in pieces]
+                        records[c1 + c2] = {"product": product, "total": totals[c1 + c2], "pairs": []}
+                    records[c1 + c2]["pairs"].append((i, j, k))
     return {
         **report,
-        "groups": len(starts),
-        "max_group_size": int((ends - starts).max()),
-        "nonzero_pairings": int(np.count_nonzero(knee)),
-        "nonzero_groups": bad,
-        "ok": not bad,
+        "groups": len(sizes),
+        "max_group_size": max(sizes.values()),
+        "nonzero_pairings": nonzero,
+        "nonzero_groups": list(records.values()),
+        "ok": not records,
     }
 
 
@@ -600,15 +610,13 @@ def decomposition_partners(
 ) -> list[tuple[PipeDiagram, PipeDiagram]]:
     """All other ordered pairs with the same degrees and the same product."""
     _same_torus(d1, d2)
-    N, M = d1.N, d1.M
-    diags1 = enumerate_tpds(N, M, d1.degree)
-    diags2 = enumerate_tpds(N, M, d2.degree)
-    codes = _product_codes(_counts_cached(N, M, d1.degree), _counts_cached(N, M, d2.degree))
-    own = diags1.index(d1) * len(diags2) + diags2.index(d2)
+    diags2 = enumerate_tpds(d2.N, d2.M, d2.degree)
+    own = _code(d1) + _code(d2)
     return [
-        (diags1[f // len(diags2)], diags2[f % len(diags2)])
-        for f in np.flatnonzero((codes == codes[:, own, None]).all(axis=0))
-        if f != own
+        (a, b)
+        for a in enumerate_tpds(d1.N, d1.M, d1.degree)
+        for b in diags2
+        if _code(a) + _code(b) == own and (a, b) != (d1, d2)
     ]
 
 

@@ -401,6 +401,16 @@ class TestPipes:
         assert report is None
         assert "degree" in err
 
+    @pytest.mark.parametrize("degree", ["99", "-1"])
+    def test_degree_refused_before_any_work(self, capsys, monkeypatch, degree):
+        from dkp import pipes
+
+        calls = []
+        monkeypatch.setattr(pipes, "monomial_tpd_bijection", lambda *args: calls.append(args))
+        code, report, err = run_cli(capsys, "pipes", "--N", "6", "--M", "5", "--degree", degree)
+        assert (code, report, calls) == (2, None, [])
+        assert err == f"error: degree must lie in [0, 30], got {degree}\n"
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
@@ -461,12 +471,28 @@ def test_module_invocation():
 
 
 def test_check_and_curve_do_not_import_numpy(tmp_path):
-    # only flow, pipes and curve --numeric use the numpy layers
+    # only flow and curve --numeric use the numpy layers
     script = (
         "import sys\n"
         "from dkp.cli import main\n"
         f"assert main(['check', '--N', '3', '--M', '2', '--out', {str(tmp_path / 'check.json')!r}]) == 0\n"
         f"assert main(['curve', '--N', '3', '--M', '2', '--out', {str(tmp_path / 'curve.json')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_pipes_does_not_import_numpy(tmp_path):
+    # the pairing and sum-zero checks run on packed Python ints
+    out = str(tmp_path / "pipes.json")
+    script = (
+        "import sys\n"
+        "from dkp.cli import main\n"
+        f"assert main(['pipes', '--N', '3', '--M', '2', '--pairings', '--sum-zero', '--out', {out!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )
     proc = subprocess.run(
@@ -574,7 +600,7 @@ class TestImportSets:
     def test_pipes_and_curve_leave_poisson_out(self, tmp_path):
         out = str(tmp_path / "report.json")
         pipes = _dkp_modules_after(["pipes", "--N", "3", "--M", "2", "--pairings", "--sum-zero", "--out", out])
-        assert pipes == "['dkp', 'dkp.cli', 'dkp.curve', 'dkp.lattice', 'dkp.pipes', 'dkp.symalg', 'dkp.torus', 'numpy']"
+        assert pipes == "['dkp', 'dkp.cli', 'dkp.curve', 'dkp.lattice', 'dkp.pipes', 'dkp.symalg', 'dkp.torus']"
         plain_curve = _dkp_modules_after(["curve", "--N", "3", "--M", "2", "--out", out])
         assert plain_curve == "['dkp', 'dkp.cli', 'dkp.curve', 'dkp.lattice', 'dkp.symalg', 'dkp.torus']"
 

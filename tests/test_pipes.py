@@ -8,7 +8,6 @@ import itertools
 import json
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -477,7 +476,8 @@ class TestSumZero:
 
 
 # Reference: the per-pair loop form of the two exhaustive checks.  The
-# library computes them as integer matrix algebra; these loops are the oracle.
+# library computes them on packed rows of the pairing matrices; these loops
+# are the oracle.
 
 def reference_pairing_consistency(N, M, routes=pairing_routes):
     diagrams = [d for deg in range(0, N * M + 1) for d in enumerate_tpds(N, M, deg)]
@@ -563,6 +563,31 @@ def _flip_one_kappa(monkeypatch, N, M):
     monkeypatch.setattr(pipes, "build_kappa", lambda *_: flipped)
 
 
+@pytest.fixture
+def fresh_tables():
+    """Build every pairing table afresh, and drop the ones this test built."""
+    pipes._pairing_table.cache_clear()
+    yield
+    pipes._pairing_table.cache_clear()
+
+
+def _bump_pairings(monkeypatch, bumped):
+    """Make pipes read both pairing routes of each ordered pair in `bumped`
+    one higher, as if both matrices had that entry raised."""
+    original = pipes._pairing_rows
+
+    def perturbed(kappa, diagrams, width):
+        knee, kappa_sum, reverse = original(kappa, diagrams, width)
+        for a, b in bumped:
+            i, j = diagrams.index(a), diagrams.index(b)
+            knee[i] += 1 << width * j
+            kappa_sum[i] += 1 << width * j
+            reverse[j] += 1 << width * i  # column j of the knee route
+        return knee, kappa_sum, reverse
+
+    monkeypatch.setattr(pipes, "_pairing_rows", perturbed)
+
+
 class TestMatrixFormOracle:
     @pytest.mark.parametrize("N,M", AC_TORI)
     def test_consistency_matches_loops(self, N, M):
@@ -586,9 +611,7 @@ class TestMatrixFormOracle:
                 assert sum_zero_check(N, M, d1, d2) == reference_sum_zero(N, M, d1, d2)
 
     @pytest.mark.parametrize("degrees", [(1, 1), (1, 2), (8, 12)])
-    def test_sum_zero_matches_loops_with_two_code_chunks(self, degrees):
-        # 2NM = 40 base-3 digits on (5,4): each product code spans two int64s
-        assert pipes._product_codes(*(pipes._counts_cached(5, 4, d) for d in degrees)).shape[0] == 2
+    def test_sum_zero_matches_loops_on_5_4(self, degrees):
         assert sum_zero_check(5, 4, *degrees) == reference_sum_zero(5, 4, *degrees)
 
     @pytest.mark.parametrize("N,M", sorted(SUM_ZERO_DIGESTS))
@@ -606,33 +629,45 @@ class TestMatrixFormOracle:
                 assert decomposition_partners(a, b) == reference_partners(a, b)
                 assert decomposition_partners(b, a) == reference_partners(b, a)
 
-    def test_sum_zero_builds_each_count_matrix_once(self, monkeypatch):
+    def test_sum_zero_builds_each_count_matrix_once(self, monkeypatch, fresh_tables):
+        # one pairing table per torus, shared by every block and the pairing check
         built = []
-        piece_counts = pipes._piece_counts
+        pairing_rows = pipes._pairing_rows
 
-        def counting(diagrams, N, M):
+        def counting(kappa, diagrams, width):
             built.append(len(diagrams))
-            return piece_counts(diagrams, N, M)
+            return pairing_rows(kappa, diagrams, width)
 
-        monkeypatch.setattr(pipes, "_piece_counts", counting)
-        pipes._counts_cached.cache_clear()
-        try:
-            for d1 in range(7):
-                for d2 in range(d1, 7):
-                    sum_zero_check(3, 2, d1, d2)
-            # once per degree with diagrams; degree 5 has none and builds none
-            assert built == [2, 6, 3, 2, 3, 1]
-            counts = pipes._counts_cached(3, 2, 2)
-            assert not counts.flags.writeable
-            assert np.array_equal(counts, piece_counts(enumerate_tpds(3, 2, 2), 3, 2))
-        finally:
-            pipes._counts_cached.cache_clear()
+        monkeypatch.setattr(pipes, "_pairing_rows", counting)
+        sum_zero_check(3, 2, 5, 5)  # degree 5 has no diagram and builds nothing
+        assert built == []
+        for d1 in range(7):
+            for d2 in range(d1, 7):
+                sum_zero_check(3, 2, d1, d2)
+        verify_pairing_consistency(3, 2)
+        assert built == [17]
 
-    def test_pairing_matrices_are_int64(self):
-        counts = pipes._piece_counts(enumerate_tpds(4, 3, 5), 4, 3)
-        knee, kappa_sum = pipes._pairing_matrices(counts, counts, 4, 3)
-        assert knee.dtype == kappa_sum.dtype == np.int64
-        assert np.array_equal(knee, kappa_sum)
+    def test_decoded_rows_match_pairing_routes(self):
+        table = pipes._pairing_table(build_kappa(4, 3))
+        assert table.width == 16  # (NM)^2 max|kappa| = 144 needs more than 8 bits
+        assert table.failing == {}
+        diagrams = enumerate_tpds(4, 3, 5)
+        lo = table.starts[5]
+        for i, a in enumerate(diagrams):
+            row = table.decode(table.knee[lo + i])[lo : lo + len(diagrams)]
+            assert [(k, k) for k in row] == [pairing_routes(a, b) for b in diagrams]
+
+    def test_bound_outside_every_field_raises(self, monkeypatch):
+        # (NM)^2 max|kappa| = 36 * 2^60 needs more than a 64-bit field: refused, never wrapped
+        kappa = build_kappa(3, 2)
+        huge = dataclasses.replace(
+            kappa, values=tuple(tuple(v << 60 for v in row) for row in kappa.values)
+        )
+        monkeypatch.setattr(pipes, "build_kappa", lambda *_: huge)
+        with pytest.raises(OverflowError, match="does not fit a 64-bit field"):
+            verify_pairing_consistency(3, 2)
+        with pytest.raises(OverflowError, match="does not fit a 64-bit field"):
+            sum_zero_check(3, 2, 1, 2)
 
 
 class TestMatrixFormMutations:
@@ -643,7 +678,7 @@ class TestMatrixFormMutations:
         assert report["ok"] is False
         assert report == reference_pairing_consistency(N, M)
 
-    def test_one_sided_pairing_fails_antisymmetry(self, monkeypatch):
+    def test_one_sided_pairing_fails_antisymmetry(self, monkeypatch, fresh_tables):
         # both routes agree on the bumped pair, so only its reverse disagrees
         diagrams = [d for deg in range(7) for d in enumerate_tpds(3, 2, deg)]
         i, j = 4, 11
@@ -655,15 +690,7 @@ class TestMatrixFormMutations:
             return knee + step, kappa_sum + step
 
         expected = reference_pairing_consistency(3, 2, routes=routes)
-        original = pipes._pairing_matrices
-
-        def perturbed(*args):
-            knee, kappa_sum = original(*args)
-            knee[i, j] += 1
-            kappa_sum[i, j] += 1
-            return knee, kappa_sum
-
-        monkeypatch.setattr(pipes, "_pairing_matrices", perturbed)
+        _bump_pairings(monkeypatch, [bumped])
         report = verify_pairing_consistency(3, 2)
         assert len(report["failures"]) == 2
         assert report == expected
@@ -682,25 +709,18 @@ class TestMatrixFormMutations:
             (3, 2, (2, 4), [(0, 0)]),  # one pairing in one group
             (4, 3, (5, 5), [(40, 2), (3, 7), (3, 9)]),  # groups out of order
             (5, 3, (4, 7), [(120, 80), (7, 3), (60, 1), (7, 4)]),
-            (5, 4, (1, 2), [(19, 100), (2, 5), (11, 40)]),  # two-chunk codes
+            (5, 4, (1, 2), [(19, 100), (2, 5), (11, 40)]),
         ],
     )
-    def test_perturbed_pairing_fails_its_group(self, monkeypatch, N, M, degrees, targets):
+    def test_perturbed_pairing_fails_its_group(
+        self, monkeypatch, fresh_tables, N, M, degrees, targets
+    ):
         diags1, diags2 = (enumerate_tpds(N, M, d) for d in degrees)
         bumped = {(diags1[i], diags2[j]) for i, j in targets}
         expected = reference_sum_zero(
             N, M, *degrees, pair=lambda a, b: pairing(a, b) + ((a, b) in bumped)
         )
-        original = pipes._pairing_matrices
-
-        def perturbed(*args):
-            knee, kappa_sum = original(*args)
-            for i, j in targets:
-                knee[i, j] += 1
-                kappa_sum[i, j] += 1
-            return knee, kappa_sum
-
-        monkeypatch.setattr(pipes, "_pairing_matrices", perturbed)
+        _bump_pairings(monkeypatch, bumped)
         report = sum_zero_check(N, M, *degrees)
         assert report["ok"] is False
         assert report == expected
