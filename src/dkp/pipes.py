@@ -437,8 +437,6 @@ def product_key(d1: PipeDiagram, d2: PipeDiagram) -> tuple[tuple[Site, str], ...
     return tuple(sorted(d1.pieces + d2.pieces))
 
 
-# Packed form (see the module docstring).
-
 _FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}  # signed memoryview formats by field width
 
 
