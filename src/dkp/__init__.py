@@ -8,8 +8,6 @@ __version__ = "0.1.0"
 
 from dkp.torus import (
     SignFunction,
-    DifferenceSpec,
-    solve_difference_spec,
     build_kappa,
     build_rho,
     build_phi,
@@ -20,8 +18,6 @@ from dkp.torus import (
 __all__ = [
     "__version__",
     "SignFunction",
-    "DifferenceSpec",
-    "solve_difference_spec",
     "build_kappa",
     "build_rho",
     "build_phi",

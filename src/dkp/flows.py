@@ -54,11 +54,6 @@ class KPStateNumeric:
             N, M, rng.uniform(low, high, (M, N)), rng.uniform(low, high, (M, N))
         )
 
-    @classmethod
-    def zero(cls, N: int, M: int):
-        _require_torus(N, M)
-        return cls(N, M, np.zeros((M, N)), np.zeros((M, N)))
-
     def flat(self) -> np.ndarray:
         return np.concatenate([self.A.ravel(), self.B.ravel()])
 

@@ -1,12 +1,12 @@
-"""Spectral matrix, periodic band algebra, and the block row reduction.
+"""Periodic band algebra, the block row reduction, and the spectral matrix.
 
-Two equivalent presentations of the same spectral problem live here:
-
-* the NM x NM block-circulant matrix W over A, B, alpha, beta;
-* the infinite N-periodic band matrix C~ of halfwidth M whose entries
-  c~_i(k) are polynomials in A, B, produced by block row reduction of W
-  level by level (level M is a single tridiagonal factor, level 1 is the
-  full band).
+The spectral problem is the NM x NM block-circulant matrix W over A, B,
+alpha, beta (built in ``tests/lattice_oracle.py``, which checks it against
+what lives here).  This module works with its second presentation: the
+infinite N-periodic band matrix C~ of halfwidth M whose entries c~_i(k) are
+polynomials in A, B, produced by block row reduction of W level by level
+(level M is a single tridiagonal factor, level 1 is the full band), and the
+N x N alpha-twisted matrix C_alpha - beta whose determinant is the curve.
 
 Band entries are addressed as c_i(k) = C(k, k + w - i) for a halfwidth-w
 band, i = 0..2w, and c_0 = 1 always.  All site indices are 0-based and
@@ -17,10 +17,8 @@ the map c -> c(A, B).
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from dkp.symalg import (
     ALPHA,
@@ -122,20 +120,6 @@ class BandMatrix:
         for k in range(self.N):
             out = out + self.entries.get((0, k), ExactPoly.zero())
         return out
-
-
-def x_band(N: int, M: int, m: int) -> BandMatrix:
-    """The tridiagonal factor: superdiagonal 1, diagonal -A(., m), subdiagonal -B(., m)."""
-    entries: dict[tuple[int, int], ExactPoly] = {}
-    for k in range(N):
-        entries[(1, k)] = ExactPoly.const(1)
-        entries[(0, k)] = -ExactPoly.var(gen_A(k, m % M))
-        entries[(-1, k)] = -ExactPoly.var(gen_B(k, m % M))
-    return BandMatrix(N, entries)
-
-
-def level_halfwidth(M: int, j: int) -> int:
-    return M + 1 - j
 
 
 LevelData = dict[tuple[int, int], ExactPoly]  # (band index i, site k) -> poly
@@ -242,54 +226,6 @@ def c_alpha_minus_beta(N: int, M: int, band: LevelData) -> Matrix:
     return mat
 
 
-def w_matrix(N: int, M: int) -> Matrix:
-    """The NM x NM spectral matrix in N x N blocks.
-
-    Row/column index is m*N + n for block m = 0..M-1, site n = 0..N-1.
-    Block (0,0) carries -beta*I, other diagonal blocks -I, and block
-    ((m+1) mod M, m) carries the tridiagonal circulant for layer m with
-    the alpha twists on the wrapped corners.
-    """
-    _require_torus(N, M)
-    size = N * M
-    mat: Matrix = [[ExactPoly.zero()] * size for _ in range(size)]
-    alpha = ExactPoly.var(ALPHA)
-    alpha_inv = ExactPoly.var(ALPHA, -1)
-    beta = ExactPoly.var(BETA)
-    for m in range(M):
-        base = m * N
-        diag = -beta if m == 0 else -ExactPoly.const(1)
-        for n in range(N):
-            mat[base + n][base + n] = diag
-    for m in range(M):
-        bi = ((m + 1) % M) * N
-        bj = m * N
-        for n in range(N):
-            mat[bi + n][bj + n] = mat[bi + n][bj + n] - ExactPoly.var(gen_A(n, m))
-            if n + 1 < N:
-                mat[bi + n][bj + n + 1] = mat[bi + n][bj + n + 1] + ExactPoly.const(1)
-            else:
-                mat[bi + n][bj] = mat[bi + n][bj] + alpha
-            if n - 1 >= 0:
-                mat[bi + n][bj + n - 1] = mat[bi + n][bj + n - 1] - ExactPoly.var(gen_B(n, m))
-            else:
-                mat[bi + n][bj + N - 1] = mat[bi + n][bj + N - 1] - ExactPoly.var(gen_B(n, m)) * alpha_inv
-    return mat
-
-
-def jacobian_rank_special(N: int, M: int, j: int) -> dict:
-    """Rank report for the elimination differential at the dominance point."""
-    rank, dim = dominance_rank(N, M, j)
-    return {
-        "N": N,
-        "M": M,
-        "level": j,
-        "rank": rank,
-        "target_dim": dim,
-        "full_rank": rank == dim,
-    }
-
-
 def det_minor_expansion(mat: Matrix) -> ExactPoly:
     """Exact determinant by first-row cofactor expansion memoized on column sets."""
     n = len(mat)
@@ -322,86 +258,3 @@ def det_minor_expansion(mat: Matrix) -> ExactPoly:
 
     return minor((1 << n) - 1)
 
-
-def matrix_rank_exact(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank over the rationals by fraction-exact Gaussian elimination."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        pivot = next((r for r in range(rank, nrows) if work[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for r in range(nrows):
-            if r != rank and work[r][col]:
-                factor = work[r][col] / pv
-                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def reduction_jacobian(
-    N: int, M: int, j: int, point: Mapping[Gen, Fraction | int]
-) -> tuple[list[list[Fraction]], int]:
-    """Jacobian of the level j+1 -> level j elimination at a point.
-
-    Source coordinates are the free level-(j+1) band generators plus the
-    A, B layer consumed by the step; the image coordinates are all
-    nonconstant level-j entries.  Returns (matrix, target dimension).
-    """
-    if not 1 <= j <= M - 1:
-        raise ValueError(f"reduction level must satisfy 1 <= j <= M-1, got {j}")
-    image = reduce_step(N, M, j, abstract_level(N, M, j + 1))
-    source: list[Gen] = []
-    for k in range(N):
-        for i in range(1, 2 * (M - j) + 1):
-            source.append(gen_c(j + 1, i, k))
-    for k in range(N):
-        source.append(gen_A(k, j - 1))
-        source.append(gen_B(k, j - 1))
-    targets = [
-        image[(i, k)] for k in range(N) for i in range(1, 2 * (M + 1 - j) + 1)
-    ]
-    jac = [
-        [Fraction(poly.partial(g).evaluate(point)) for g in source]
-        for poly in targets
-    ]
-    return jac, len(targets)
-
-
-def dominance_point_special(N: int, M: int, j: int) -> dict[Gen, int]:
-    """The dominance-proof point: A = B = 0 and the lowest band corner 1."""
-    point: dict[Gen, int] = {}
-    for k in range(N):
-        point[gen_A(k, j - 1)] = 0
-        point[gen_B(k, j - 1)] = 0
-        for i in range(1, 2 * (M - j) + 1):
-            point[gen_c(j + 1, i, k)] = 1 if i == 2 * (M - j) else 0
-    return point
-
-
-def dominance_point_random(N: int, M: int, j: int, seed: int) -> dict[Gen, Fraction]:
-    rng = random.Random(seed)
-    point: dict[Gen, Fraction] = {}
-    for k in range(N):
-        point[gen_A(k, j - 1)] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-        point[gen_B(k, j - 1)] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-        for i in range(1, 2 * (M - j) + 1):
-            point[gen_c(j + 1, i, k)] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-    return point
-
-
-def dominance_rank(
-    N: int, M: int, j: int, point: Mapping[Gen, Fraction | int] | None = None
-) -> tuple[int, int]:
-    """(rank, target dimension) of the elimination differential at a point."""
-    if point is None:
-        point = dominance_point_special(N, M, j)
-    jac, dim = reduction_jacobian(N, M, j, point)
-    return matrix_rank_exact(jac), dim

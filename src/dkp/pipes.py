@@ -60,7 +60,8 @@ bits that holds the exact bound (NM)^2 max|kappa|; a bound that does not
 fit raises OverflowError, so no value is ever wrapped.  A pair's product is
 keyed by the sum of its diagrams' codes, which give each entry of the
 [H | L] count row a 2-bit field; a summed entry is at most 2, so equal sums
-are equal products.  `pairing` computes one entry by both routes.
+are equal products.  ``tests/pipes_oracle.py`` computes one entry by both
+routes, one pair at a time.
 
 The diagrams are built row by row from the port rules alone.  A site uses
 no ports, W-E (horizontal), W-S (left-down), N-E (up-right) or all four
@@ -82,14 +83,13 @@ from __future__ import annotations
 import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .curve import _curve_slots, realizable_degrees, slot_degree
 from .lattice import reduction_levels
-from .symalg import ExactPoly, Gen, Scalar, gen_B, poly_A
+from .symalg import ExactPoly, Gen, Scalar, gen_B
 from .torus import SignFunction, _require_torus, build_kappa
 
 Site = tuple[int, int]
@@ -103,13 +103,8 @@ __all__ = [
     "LEFT_DOWN",
     "UP_RIGHT",
     "PipeDiagram",
-    "bracket_b0_check",
-    "decomposition_partners",
-    "diagram_from_support",
     "enumerate_tpds",
     "monomial_tpd_bijection",
-    "pairing",
-    "pairing_routes",
     "product_key",
     "pure_A_monomials",
     "sum_zero_check",
@@ -204,13 +199,6 @@ class PipeDiagram:
             raise AssertionError("closed diagram with fractional winding")
         return east, south
 
-    def monomial(self) -> ExactPoly:
-        """The product of A-variables over the horizontal sites."""
-        poly = ExactPoly.const(1)
-        for n, m in sorted(self.horizontal):
-            poly = poly * poly_A(n, m)
-        return poly
-
     def site_map(self) -> dict[str, list[str]]:
         """JSON-friendly map from "n,m" to the list of pieces at that site."""
         per_site: dict[Site, list[str]] = {}
@@ -269,19 +257,6 @@ def _tpds(N: int, M: int) -> tuple[tuple[PipeDiagram, ...], ...]:
             ld = [(n, M - 1 - r) for r, (_, row_ld) in enumerate(rows) for n in row_ld]
             by_degree[len(h)].append(PipeDiagram(N, M, h, ld, [(n, (m - 1) % M) for n, m in ld]))
     return tuple(tuple(sorted(ds, key=lambda d: sorted(d.horizontal))) for ds in by_degree)
-
-
-def diagram_from_support(N: int, M: int, support: Iterable[Site]) -> PipeDiagram | None:
-    """The first closed diagram, in `enumerate_tpds` order, whose horizontal
-    pieces sit at `support`; None when no closed diagram has that support.
-
-    Every support of positive degree has at most one diagram; the empty
-    support has two, and this returns the empty diagram.  The first call on a
-    torus enumerates all of its diagrams.
-    """
-    _require_torus(N, M)
-    h = frozenset((n % N, m % M) for n, m in support)
-    return next((d for d in _tpds(N, M)[len(h)] if d.horizontal == h), None)
 
 
 def enumerate_tpds(N: int, M: int, degree: int) -> list[PipeDiagram]:
@@ -406,31 +381,6 @@ def _same_torus(d1: PipeDiagram, d2: PipeDiagram) -> None:
         )
 
 
-def pairing_routes(d1: PipeDiagram, d2: PipeDiagram) -> tuple[int, int]:
-    """The intersection pairing by both formulas: (knee count, kappa sum).
-
-    Knee route: left-down knees of d1 on horizontal sites of d2 count +1,
-    up-right knees of d1 on horizontal sites of d2 count -1.
-    """
-    _same_torus(d1, d2)
-    knee = sum(1 for s in d2.horizontal if s in d1.left_down) - sum(
-        1 for s in d2.horizontal if s in d1.up_right
-    )
-    kappa = build_kappa(d1.N, d1.M)
-    kappa_sum = sum(kappa(n - i, m - j) for n, m in d1.horizontal for i, j in d2.horizontal)
-    return knee, kappa_sum
-
-
-def pairing(d1: PipeDiagram, d2: PipeDiagram) -> int:
-    """The intersection pairing <d1, d2>, cross-checked between both routes."""
-    knee, kappa_sum = pairing_routes(d1, d2)
-    if knee != kappa_sum:  # pragma: no cover - the two formulas provably agree
-        raise RuntimeError(
-            f"pairing routes disagree: knee count {knee}, kappa sum {kappa_sum}"
-        )
-    return knee
-
-
 def product_key(d1: PipeDiagram, d2: PipeDiagram) -> tuple[tuple[Site, str], ...]:
     """Canonical key for the product: the multiset union of placed pieces."""
     _same_torus(d1, d2)
@@ -451,9 +401,10 @@ def _code(d: PipeDiagram) -> int:
 
 def _pairing_rows(
     kappa: SignFunction, diagrams: Sequence[PipeDiagram], width: int
-) -> tuple[list[int], list[int], list[int]]:
-    """The packed rows of ``(L - R) H^T`` and ``H K H^T`` and the packed
-    columns of ``(L - R) H^T`` over `diagrams`, fields `width` bits apart."""
+) -> Iterator[tuple[int, int, int]]:
+    """Per diagram, in order: its packed row of ``(L - R) H^T``, its packed
+    row of ``H K H^T`` and its packed column of ``(L - R) H^T`` over
+    `diagrams`, fields `width` bits apart."""
     N, M = kappa.N, kappa.M
     sites = [(n, m) for n in range(N) for m in range(M)]  # site n*M + m
 
@@ -470,11 +421,12 @@ def _pairing_rows(
     hcol, lcol, rcol = columns("horizontal"), columns("left_down"), columns("up_right")
     kcol = [sum(kappa(n - p, m - q) * h for (p, q), h in zip(sites, hcol)) for n, m in sites]
     knee_cols = [lc - rc for lc, rc in zip(lcol, rcol)]
-    return (
-        [gather(hcol, d.left_down) - gather(hcol, d.up_right) for d in diagrams],
-        [gather(kcol, d.horizontal) for d in diagrams],
-        [gather(knee_cols, d.horizontal) for d in diagrams],
-    )
+    for d in diagrams:
+        yield (
+            gather(hcol, d.left_down) - gather(hcol, d.up_right),
+            gather(kcol, d.horizontal),
+            gather(knee_cols, d.horizontal),
+        )
 
 
 @dataclass(frozen=True)
@@ -506,18 +458,19 @@ def _pairing_table(kappa: SignFunction) -> _PairingTable:
     if width is None:
         raise OverflowError(f"pairing bound {bound} does not fit a 64-bit field")
     diagrams = [d for ds in _tpds(N, M) for d in ds]
-    knee, kappa_sum, reverse = _pairing_rows(kappa, diagrams, width)
     # The bias lifts every field into [0, 2^width) without a carry; flipping
     # each field's top bit then leaves it in two's complement.
     bias = int.from_bytes((1 << width - 1).to_bytes(width // 8, "little") * len(diagrams), "little")
-    failing = {
-        i: ((q + bias) ^ bias, (r + bias) ^ bias)
-        for i, (k, q, r) in enumerate(zip(knee, kappa_sum, reverse))
-        if k != q or k != -r
-    }
+    # One diagram's rows at a time: only the knee rows and the failing rows are kept.
+    knee: list[int] = []
+    failing: dict[int, tuple[int, int]] = {}
+    for i, (k, q, r) in enumerate(_pairing_rows(kappa, diagrams, width)):
+        knee.append((k + bias) ^ bias)
+        if k != q or k != -r:
+            failing[i] = ((q + bias) ^ bias, (r + bias) ^ bias)
     starts = tuple(accumulate((len(ds) for ds in _tpds(N, M)), initial=0))
     codes = tuple(map(_code, diagrams))
-    return _PairingTable(width, starts, codes, tuple((k + bias) ^ bias for k in knee), failing)
+    return _PairingTable(width, starts, codes, tuple(knee), failing)
 
 
 def verify_pairing_consistency(N: int, M: int) -> dict:
@@ -602,55 +555,3 @@ def sum_zero_check(N: int, M: int, degree1: int, degree2: int) -> dict:
         "ok": not records,
     }
 
-
-def decomposition_partners(
-    d1: PipeDiagram, d2: PipeDiagram
-) -> list[tuple[PipeDiagram, PipeDiagram]]:
-    """All other ordered pairs with the same degrees and the same product."""
-    _same_torus(d1, d2)
-    diags2 = enumerate_tpds(d2.N, d2.M, d2.degree)
-    own = _code(d1) + _code(d2)
-    return [
-        (a, b)
-        for a in enumerate_tpds(d1.N, d1.M, d1.degree)
-        for b in diags2
-        if _code(a) + _code(b) == own and (a, b) != (d1, d2)
-    ]
-
-
-def bracket_b0_check(
-    N: int, M: int, degree1: int, degree2: int, limit: int | None = None
-) -> dict:
-    """Verify {m1, m2} restricted to B = 0 equals pairing * m1 * m2.
-
-    m1, m2 are the monomials of the diagrams (products of A over horizontal
-    sites).  The bracket of two A-products also generates B-terms; they are
-    killed by substituting B = 0 after bracketing, and what survives must be
-    exactly the intersection pairing times the product monomial.
-    """
-    from .poisson import bracket2_AB, bracket_extend
-
-    _require_torus(N, M)
-    table = bracket2_AB(N, M)
-    b_zero = _b_zero(N, M)
-    diags1 = enumerate_tpds(N, M, degree1)
-    diags2 = enumerate_tpds(N, M, degree2)
-    pairs = [(d1, d2) for d1 in diags1 for d2 in diags2]
-    if limit is not None:
-        pairs = pairs[:limit]
-    failures = []
-    for d1, d2 in pairs:
-        m1 = d1.monomial()
-        m2 = d2.monomial()
-        lhs = bracket_extend(table, m1, m2).substitute(b_zero)
-        rhs = m1 * m2 * Fraction(pairing(d1, d2))
-        if lhs != rhs:
-            failures.append({"d1": d1.site_map(), "d2": d2.site_map()})
-    return {
-        "N": N,
-        "M": M,
-        "degrees": [degree1, degree2],
-        "pairs": len(pairs),
-        "failures": failures,
-        "ok": not failures,
-    }

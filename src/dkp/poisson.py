@@ -16,18 +16,19 @@ both orientations visible in its reports.
 
 A table extends to polynomials through one packed kernel,
 ``BracketTable._field_into``: the Hamiltonian field {x_a, g} = sum_b
-dg/dx_b * {x_a, x_b} at the generator x_a.  {f, g} = sum_a df/dx_a *
-{x_a, g} (``_bracket_into``); the Casimir, ladder, Jacobi and compatibility
-suites and the ledger flows read fields directly.  Each table numbers its
-generators (the universe, then alpha and beta), and a monomial is one int in
-which exponent e of generator i contributes e << (i * 32), a signed 32-bit
-field, so a monomial product is one int addition (the packed exponent
-vectors of Monagan and Pearce, CASC 2007).  Exponents must stay below 2**29
-in magnitude (OverflowError otherwise, never a wrapped result), and a
-generator outside the table raises ValueError.  ``bracket_extend`` is
-gradients -> kernel -> unpack into an ``ExactPoly``.  ``pullback`` takes a
-band polynomial to A, B exactly, by packed products in the same packing;
-``closure_verify`` and the ledger flows read through it.
+dg/dx_b * {x_a, x_b} at the generator x_a, which the Casimir, ladder,
+Jacobi and compatibility suites and the ledger flows read directly.  Each
+table numbers its generators (the universe, then alpha and beta), and a
+monomial is one int in which exponent e of generator i contributes
+e << (i * 32), a signed 32-bit field, so a monomial product is one int
+addition (the packed exponent vectors of Monagan and Pearce, CASC 2007).
+Exponents must stay below 2**29 in magnitude (OverflowError otherwise, never
+a wrapped result), and a generator outside the table raises ValueError.
+The full bracket {f, g} = sum_a df/dx_a * {x_a, g}, unpacked into an
+``ExactPoly``, is ``bracket_extend`` in ``tests/poisson_oracle.py``, the
+case-by-case reference the packed suites are tested against.  ``pullback``
+takes a band polynomial to A, B exactly, by packed products in the same
+packing; ``closure_verify`` and the ledger flows read through it.
 
 Each bracket table (``bracket2_AB``, ``bracket2_c`` per level j,
 ``bracket1_c``) is built once per (N, M, j) per process and shared by every
@@ -62,7 +63,6 @@ from dkp.symalg import (
     gen_A,
     gen_B,
     gen_c,
-    gen_degree,
     poly_sum,
 )
 from dkp.torus import _require_torus, build_kappa, build_phi, build_rho, build_zeta
@@ -71,7 +71,7 @@ from dkp.torus import _require_torus, build_kappa, build_phi, build_rho, build_z
 # fixed so the single-layer limit reproduces {A(n), B(n)}_1 = -B(n).
 BRACKET1_SIGN = -1
 
-# Packed monomials (see bracket_extend): one signed field per generator.
+# Packed monomials (see the module docstring): one signed field per generator.
 _FIELD = 32
 _HALF = 1 << (_FIELD - 1)
 # Three exponents add up in one bracket term, so each stays below 2**29.
@@ -227,15 +227,6 @@ class BracketTable:
             field = self._ledger_fields[(d, a)] = self._field(self._ledger_gradient(d), a)
         return field
 
-    def _bracket_into(self, acc: Packed, df: Gradient, dg: Gradient) -> None:
-        """acc += {f, g} = sum_a df/dx_a * {x_a, g}, all packed (zero
-        coefficients may remain in acc)."""
-        for a, dfa in df.items():
-            field = self._field(dg, a)
-            if field:
-                _mul_into(acc, dfa, field)
-
-
 def _mul_into(acc: Packed, p: Packed, q: Packed) -> None:
     """acc += p * q on packed polynomials (zero coefficients may remain)."""
     get = acc.get
@@ -255,26 +246,6 @@ def _same_packing(t1: BracketTable, t2: BracketTable) -> None:
     assert t1.universe == t2.universe, (
         f"{t1.kind} and {t2.kind} number their generators differently"
     )
-
-
-def bracket_extend(table: BracketTable, f: ExactPoly, g: ExactPoly) -> ExactPoly:
-    """Bilinear + Leibniz extension of a generator table to polynomials.
-
-    Computed in gradient form, {f, g} = sum_a df/dx_a * sum_b dg/dx_b *
-    {x_a, x_b}, with a and b over the table's universe (alpha and beta are
-    passive: they bracket to zero).  Inside, a monomial is one int: exponent
-    e of generator i contributes e << (i * 32), a signed 32-bit field, so a
-    monomial product is an int addition and alpha**-1 packs like any other
-    factor.  Only the result is unpacked into a sorted-tuple ``ExactPoly``.
-
-    Raises ``ValueError`` for a generator outside the table and
-    ``OverflowError`` for an exponent of magnitude 2**29 or more in f, g or
-    a table entry (three such exponents add up in one result monomial, and
-    the sum must stay inside the field).
-    """
-    acc: Packed = {}
-    table._bracket_into(acc, table._gradient(f), table._gradient(g))
-    return table.unpack(acc)
 
 
 def pullback(table: BracketTable, expansion: Mapping[Gen, ExactPoly]) -> Callable[[ExactPoly], Packed]:
@@ -347,33 +318,6 @@ def bracket2_AB(N: int, M: int) -> BracketTable:
         return ExactPoly.const(phi(k - n, l - m)) * p1 * p2
 
     return BracketTable("bracket2_AB", N, M, ab_generators(N, M), entry)
-
-
-def first_flow_rhs_AB(N: int, M: int) -> dict[Gen, ExactPoly]:
-    """Right sides of the first-flow evolution equations on every A, B."""
-    _require_torus(N, M)
-    kappa = build_kappa(N, M)
-    rho = build_rho(N, M)
-    out: dict[Gen, ExactPoly] = {}
-    for m in range(M):
-        for n in range(N):
-            kap_sum = poly_sum(
-                ExactPoly.const(kappa(k - n, l - m)) * ExactPoly.var(gen_A(k, l))
-                for l in range(M)
-                for k in range(N)
-            )
-            rho_sum = poly_sum(
-                ExactPoly.const(rho(k - n, l - m)) * ExactPoly.var(gen_A(k, l))
-                for l in range(M)
-                for k in range(N)
-            )
-            out[gen_A(n, m)] = (
-                ExactPoly.var(gen_B(n, m))
-                - ExactPoly.var(gen_B((n + 1) % N, m))
-                + kap_sum * ExactPoly.var(gen_A(n, m))
-            )
-            out[gen_B(n, m)] = rho_sum * ExactPoly.var(gen_B(n, m))
-    return out
 
 
 # --------------------------------------------------------- bracket2 on c-level
@@ -555,45 +499,6 @@ def verify_compatibility(N: int, M: int) -> dict:
         "cases": cases,
         "failures": failures,
         "ok": not failures,
-    }
-
-
-def verify_bracrel(N: int, M: int) -> dict:
-    """Substitution identity on generator pairs, in both orientations.
-
-    literal: { , }_1 = { , }_2 - { , }_2 with every c_M(h) shifted by +1;
-    flipped: { , }_1 equals the negative of that difference.
-    """
-    t1 = bracket1_c(N, M)
-    t2 = bracket2_c(N, M, 1)
-    gens = c_generators(N, M, 1)
-    shift = {
-        gen_c(1, M, h): ExactPoly.var(gen_c(1, M, h)) + ExactPoly.const(1)
-        for h in range(N)
-    }
-    literal_failures = []
-    flipped_failures = []
-    cases = 0
-    for a in range(len(gens)):
-        for b in range(a, len(gens)):
-            g1, g2 = gens[a], gens[b]
-            cases += 1
-            lhs = t1.entry(g1, g2)
-            p2 = t2.entry(g1, g2)
-            diff = p2 - p2.substitute(shift)
-            if lhs != diff:
-                literal_failures.append({"pair": [list(g1), list(g2)]})
-            if lhs != -diff:
-                flipped_failures.append({"pair": [list(g1), list(g2)]})
-    return {
-        "identity": "bracrel",
-        "N": N,
-        "M": M,
-        "cases": cases,
-        "failures": literal_failures,
-        "ok": not literal_failures,
-        "flipped_failures": flipped_failures,
-        "flipped_ok": not flipped_failures,
     }
 
 
@@ -810,55 +715,6 @@ def qlink_report(N: int, M: int) -> dict:
         "exact_ok": not slot_failures,
         "literal_unit_ok": literal_ok,
         "ok": not slot_failures,
-    }
-
-
-def verify_degree_of_bracket(N: int, M: int) -> dict:
-    """Homogeneity degrees: bracket2 shifts by 0, bracket1 by -M."""
-    failures = []
-    cases = 0
-    t_ab = bracket2_AB(N, M)
-    for g1, g2 in itertools.combinations_with_replacement(ab_generators(N, M), 2):
-        cases += 1
-        p = t_ab.entry(g1, g2)
-        want = gen_degree(g1, N, M) + gen_degree(g2, N, M)
-        if p and (not p.is_homogeneous(N, M) or p.degree(N, M) != want):
-            failures.append({"table": "bracket2_AB", "pair": [list(g1), list(g2)]})
-    t2 = bracket2_c(N, M, 1)
-    t1 = bracket1_c(N, M)
-    for g1, g2 in itertools.combinations_with_replacement(c_generators(N, M, 1), 2):
-        cases += 2
-        want = gen_degree(g1, N, M) + gen_degree(g2, N, M)
-        p = t2.entry(g1, g2)
-        if p and (not p.is_homogeneous(N, M) or p.degree(N, M) != want):
-            failures.append({"table": "bracket2_c", "pair": [list(g1), list(g2)]})
-        p = t1.entry(g1, g2)
-        if p and (not p.is_homogeneous(N, M) or p.degree(N, M) != want - M):
-            failures.append({"table": "bracket1_c", "pair": [list(g1), list(g2)]})
-    return {
-        "identity": "degree_of_bracket",
-        "N": N,
-        "M": M,
-        "cases": cases,
-        "failures": failures,
-        "ok": not failures,
-    }
-
-
-def first_bracket_degree_obstruction(M: int) -> dict:
-    """Degree counting behind the no-first-bracket-on-A,B statement.
-
-    A bracket of degree -M sends a generator pair to degree
-    deg(g) + deg(h) - M; with deg A = 1, deg B = 2 the largest pair degree
-    is 4, so for M >= 5 every entry of a homogeneous degree -M bracket on
-    the A, B generators would have negative degree and must vanish.
-    """
-    targets = {"AA": 2 - M, "AB": 3 - M, "BB": 4 - M}
-    return {
-        "M": M,
-        "target_degrees": targets,
-        "all_negative": all(v < 0 for v in targets.values()),
-        "forces_zero_bracket": M >= 5,
     }
 
 

@@ -298,14 +298,6 @@ class ExactPoly:
             out.append([[[list(g), e] for g, e in mono], f.numerator, f.denominator])
         return out
 
-    @classmethod
-    def from_jsonable(cls, data: Iterable) -> "ExactPoly":
-        terms: dict[Monomial, Scalar] = {}
-        for mono, num, den in data:
-            key = tuple((tuple(g), e) for g, e in mono)
-            terms[key] = _norm_scalar(Fraction(num, den))
-        return cls(terms)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -330,14 +322,6 @@ def _coerce(x: "ExactPoly | Scalar") -> ExactPoly:
     if isinstance(x, ExactPoly):
         return x
     return ExactPoly.const(x)
-
-
-def poly_A(n: int, m: int) -> ExactPoly:
-    return ExactPoly.var(gen_A(n, m))
-
-
-def poly_B(n: int, m: int) -> ExactPoly:
-    return ExactPoly.var(gen_B(n, m))
 
 
 def poly_sum(polys: Iterable[ExactPoly]) -> ExactPoly:

@@ -5,6 +5,8 @@ The whole hierarchy is steered by a handful of {-1,0,1}-valued functions
 down by difference conditions along the (-1,+1) direction.  Because
 gcd(N,M)=1 that direction generates a single orbit through all N*M points,
 so each table is determined by a walk plus a handful of exceptional jumps.
+The builders here walk trails; ``tests/torus_oracle.py`` solves the
+difference conditions themselves, and the tests require the two to agree.
 
 Indexing: every torus point is stored canonically as (n mod N, m mod M)
 with 0 <= n < N, 0 <= m < M.  This module is the only conversion layer;
@@ -50,122 +52,10 @@ class SignFunction:
     def __call__(self, n: int, m: int) -> int:
         return self.values[m % self.M][n % self.N]
 
-    def is_signlike(self) -> bool:
-        """True when every value lies in {-1, 0, 1}."""
-        return all(v in (-1, 0, 1) for row in self.values for v in row)
-
-    def nonzero(self) -> list[tuple[Point, int]]:
-        return [
-            ((n, m), v)
-            for m, row in enumerate(self.values)
-            for n, v in enumerate(row)
-            if v != 0
-        ]
-
     @classmethod
     def from_table(cls, N: int, M: int, table: dict[Point, int]) -> "SignFunction":
         values = tuple(tuple(table.get((n, m), 0) for n in range(N)) for m in range(M))
         return cls(N=N, M=M, values=values)
-
-
-@dataclass(frozen=True)
-class DifferenceSpec:
-    """Difference conditions f(i-1, j+1) - f(i, j) = d along the (-1,+1) step.
-
-    ``jumps`` maps a source point (i, j) to the required difference d; every
-    step of the orbit not listed has difference 0.  Distinct textbook
-    conditions that land on the same canonical source point must be summed
-    (that is the degenerate-torus rule); :func:`solve_difference_spec` does
-    this when handed a list of (source, diff) pairs.
-
-    ``pin`` optionally fixes the value at one point; it is consulted only
-    when the range constraint values in {-1,0,1} leaves more than one
-    vertical shift possible.
-    """
-
-    N: int
-    M: int
-    jumps: tuple[tuple[Point, int], ...]
-    pin: tuple[Point, int] | None = None
-
-
-def solve_difference_spec(spec: DifferenceSpec) -> SignFunction:
-    """Independent oracle: solve a difference spec by walking the orbit.
-
-    Accumulates relative values along the (-1,+1)-orbit starting at (0,0),
-    checks that the differences close up around the full cycle, then shifts
-    so that all values lie in {-1,0,1}.  Raises ValueError on inconsistent
-    or unsolvable specs, and on ambiguous shifts not resolved by ``pin``.
-    """
-    N, M = spec.N, spec.M
-    _require_torus(N, M)
-    combined: dict[Point, int] = {}
-    for (i, j), d in spec.jumps:
-        p = (i % N, j % M)
-        combined[p] = combined.get(p, 0) + d
-
-    rel: dict[Point, int] = {(0, 0): 0}
-    p = (0, 0)
-    acc = 0
-    for _ in range(N * M):
-        step = combined.get(p, 0)
-        q = ((p[0] - 1) % N, (p[1] + 1) % M)
-        acc += step
-        if q == (0, 0):
-            if acc != 0:
-                raise ValueError(f"difference spec does not close up: net {acc}")
-            break
-        rel[q] = acc
-        p = q
-    lo, hi = min(rel.values()), max(rel.values())
-    shifts = [s for s in range(-1 - lo, 2 - hi) if -1 - lo <= s <= 1 - hi]
-    if not shifts:
-        raise ValueError("difference spec has no {-1,0,1}-valued solution")
-    if len(shifts) > 1:
-        if spec.pin is None:
-            raise ValueError("difference spec is ambiguous and has no pin")
-        (pn, pm), pv = spec.pin
-        shifts = [s for s in shifts if rel[(pn % N, pm % M)] + s == pv]
-        if len(shifts) != 1:
-            raise ValueError("pin does not select a unique shift")
-    s = shifts[0]
-    table = {pt: v + s for pt, v in rel.items()}
-    return SignFunction.from_table(N, M, table)
-
-
-def kappa_difference_spec(N: int, M: int) -> DifferenceSpec:
-    """The four exceptional jumps defining kappa, plus the kappa(0,0)=0 pin."""
-    return DifferenceSpec(
-        N=N,
-        M=M,
-        jumps=(
-            ((1, -1), -1),
-            ((1, 0), 1),
-            ((0, -1), 1),
-            ((0, 0), -1),
-        ),
-        pin=((0, 0), 0),
-    )
-
-
-def rho_difference_spec(N: int, M: int) -> DifferenceSpec:
-    """The four exceptional jumps defining rho.
-
-    For N >= 2 the solution range spans width 2 and the shift is forced; at
-    N == 1 every condition cancels against its (+1,0)-translate and the pin
-    selects the zero table, matching the closed formula.
-    """
-    return DifferenceSpec(
-        N=N,
-        M=M,
-        jumps=(
-            ((-1, -1), 1),
-            ((1, 0), 1),
-            ((0, -1), -1),
-            ((0, 0), -1),
-        ),
-        pin=((0, 0), 0),
-    )
 
 
 def euclid_parity(N: int, M: int) -> int:
@@ -174,8 +64,8 @@ def euclid_parity(N: int, M: int) -> int:
     Walk (-1,1), (-2,2), ... and return 1 iff (1,0) strictly precedes
     (-1,0).  When the two targets coincide (N <= 2) the tie resolves to
     case 2.  Empirically this matches the parity of the division-step count
-    of the Euclidean algorithm on (N, M) for all N >= 2; see
-    :func:`euclid_step_count`.
+    of the Euclidean algorithm on (N, M) for all N >= 2, which the tests
+    check against ``euclid_step_count`` in ``tests/torus_oracle.py``.
     """
     _require_torus(N, M)
     t_pos = t_neg = None
@@ -187,16 +77,6 @@ def euclid_parity(N: int, M: int) -> int:
             t_neg = t
     assert t_pos is not None and t_neg is not None
     return 1 if t_pos < t_neg else 2
-
-
-def euclid_step_count(N: int, M: int) -> int:
-    """Number of division steps the Euclidean algorithm takes on (N, M)."""
-    a, b = N, M
-    steps = 0
-    while b:
-        a, b = b, a % b
-        steps += 1
-    return steps
 
 
 @lru_cache(maxsize=None)
@@ -298,13 +178,3 @@ def build_zeta(N: int, M: int, x: int, y: int) -> SignFunction:
         }
     return SignFunction.from_table(N, M, table)
 
-
-def zeta_row_slice(N: int, M: int, x: int) -> list[int]:
-    """The m=0 slice of zeta^{x-1, M-1}, which controls cross-band coupling.
-
-    For x >= M the slice vanishes identically; for x < M it equals
-    delta_{n, -M+x} - delta_{n, 0} (so it degenerates to zero when N
-    divides M - x).
-    """
-    z = build_zeta(N, M, x - 1, M - 1)
-    return [z(n, 0) for n in range(N)]

@@ -1,18 +1,37 @@
-"""Slow, independent references for the band algebra and the determinant.
+"""Slow, independent references for the band algebra, the determinant and dominance.
 
-``band_product`` multiplies the tridiagonal factors directly, which the
-block row reduction must reproduce level by level; ``det_permutation`` sums
-over all permutations, which the memoized minor expansion must match.  Both
-are only fit for small sizes.
+``band_product`` multiplies the tridiagonal factors (``x_band``) directly,
+which the block row reduction must reproduce level by level;
+``det_permutation`` sums over all permutations, which the memoized minor
+expansion must match; ``w_matrix`` is the NM x NM spectral matrix, whose
+determinant must equal the wrapped band's up to sign.  Both the product and
+the permutation sum are only fit for small sizes.
+
+``dominance_rank`` is the exact rank of the differential of one reduction
+step at a point: full rank at ``dominance_point_special`` is the dominance of
+the reduction.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+from fractions import Fraction
+from typing import Mapping, Sequence
 
-from dkp.lattice import BandMatrix, Matrix, x_band
-from dkp.symalg import ExactPoly
+from dkp.lattice import BandMatrix, Matrix, abstract_level, reduce_step
+from dkp.symalg import ALPHA, BETA, ExactPoly, Gen, gen_A, gen_B, gen_c
 from dkp.torus import _require_torus
+
+
+def x_band(N: int, M: int, m: int) -> BandMatrix:
+    """The tridiagonal factor: superdiagonal 1, diagonal -A(., m), subdiagonal -B(., m)."""
+    entries: dict[tuple[int, int], ExactPoly] = {}
+    for k in range(N):
+        entries[(1, k)] = ExactPoly.const(1)
+        entries[(0, k)] = -ExactPoly.var(gen_A(k, m % M))
+        entries[(-1, k)] = -ExactPoly.var(gen_B(k, m % M))
+    return BandMatrix(N, entries)
 
 
 def band_product(N: int, M: int, j: int = 1) -> BandMatrix:
@@ -42,3 +61,122 @@ def det_permutation(mat: Matrix) -> ExactPoly:
         if term:
             acc = acc + (term if inversions % 2 == 0 else -term)
     return acc
+
+
+def w_matrix(N: int, M: int) -> Matrix:
+    """The NM x NM spectral matrix in N x N blocks.
+
+    Row/column index is m*N + n for block m = 0..M-1, site n = 0..N-1.
+    Block (0,0) carries -beta*I, other diagonal blocks -I, and block
+    ((m+1) mod M, m) carries the tridiagonal circulant for layer m with
+    the alpha twists on the wrapped corners.
+    """
+    _require_torus(N, M)
+    size = N * M
+    mat: Matrix = [[ExactPoly.zero()] * size for _ in range(size)]
+    alpha = ExactPoly.var(ALPHA)
+    alpha_inv = ExactPoly.var(ALPHA, -1)
+    beta = ExactPoly.var(BETA)
+    for m in range(M):
+        base = m * N
+        diag = -beta if m == 0 else -ExactPoly.const(1)
+        for n in range(N):
+            mat[base + n][base + n] = diag
+    for m in range(M):
+        bi = ((m + 1) % M) * N
+        bj = m * N
+        for n in range(N):
+            mat[bi + n][bj + n] = mat[bi + n][bj + n] - ExactPoly.var(gen_A(n, m))
+            if n + 1 < N:
+                mat[bi + n][bj + n + 1] = mat[bi + n][bj + n + 1] + ExactPoly.const(1)
+            else:
+                mat[bi + n][bj] = mat[bi + n][bj] + alpha
+            if n - 1 >= 0:
+                mat[bi + n][bj + n - 1] = mat[bi + n][bj + n - 1] - ExactPoly.var(gen_B(n, m))
+            else:
+                mat[bi + n][bj + N - 1] = mat[bi + n][bj + N - 1] - ExactPoly.var(gen_B(n, m)) * alpha_inv
+    return mat
+
+
+def matrix_rank_exact(rows: Sequence[Sequence[Fraction | int]]) -> int:
+    """Rank over the rationals by fraction-exact Gaussian elimination."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    rank = 0
+    col = 0
+    while rank < nrows and col < ncols:
+        pivot = next((r for r in range(rank, nrows) if work[r][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        pv = work[rank][col]
+        for r in range(nrows):
+            if r != rank and work[r][col]:
+                factor = work[r][col] / pv
+                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def reduction_jacobian(
+    N: int, M: int, j: int, point: Mapping[Gen, Fraction | int]
+) -> tuple[list[list[Fraction]], int]:
+    """Jacobian of the level j+1 -> level j elimination at a point.
+
+    Source coordinates are the free level-(j+1) band generators plus the
+    A, B layer consumed by the step; the image coordinates are all
+    nonconstant level-j entries.  Returns (matrix, target dimension).
+    """
+    if not 1 <= j <= M - 1:
+        raise ValueError(f"reduction level must satisfy 1 <= j <= M-1, got {j}")
+    image = reduce_step(N, M, j, abstract_level(N, M, j + 1))
+    source: list[Gen] = []
+    for k in range(N):
+        for i in range(1, 2 * (M - j) + 1):
+            source.append(gen_c(j + 1, i, k))
+    for k in range(N):
+        source.append(gen_A(k, j - 1))
+        source.append(gen_B(k, j - 1))
+    targets = [
+        image[(i, k)] for k in range(N) for i in range(1, 2 * (M + 1 - j) + 1)
+    ]
+    jac = [
+        [Fraction(poly.partial(g).evaluate(point)) for g in source]
+        for poly in targets
+    ]
+    return jac, len(targets)
+
+
+def dominance_point_special(N: int, M: int, j: int) -> dict[Gen, int]:
+    """The dominance-proof point: A = B = 0 and the lowest band corner 1."""
+    point: dict[Gen, int] = {}
+    for k in range(N):
+        point[gen_A(k, j - 1)] = 0
+        point[gen_B(k, j - 1)] = 0
+        for i in range(1, 2 * (M - j) + 1):
+            point[gen_c(j + 1, i, k)] = 1 if i == 2 * (M - j) else 0
+    return point
+
+
+def dominance_point_random(N: int, M: int, j: int, seed: int) -> dict[Gen, Fraction]:
+    rng = random.Random(seed)
+    point: dict[Gen, Fraction] = {}
+    for k in range(N):
+        point[gen_A(k, j - 1)] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        point[gen_B(k, j - 1)] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        for i in range(1, 2 * (M - j) + 1):
+            point[gen_c(j + 1, i, k)] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    return point
+
+
+def dominance_rank(
+    N: int, M: int, j: int, point: Mapping[Gen, Fraction | int] | None = None
+) -> tuple[int, int]:
+    """(rank, target dimension) of the elimination differential at a point."""
+    if point is None:
+        point = dominance_point_special(N, M, j)
+    jac, dim = reduction_jacobian(N, M, j, point)
+    return matrix_rank_exact(jac), dim

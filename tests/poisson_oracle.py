@@ -5,6 +5,12 @@ against: every bracket is unpacked into an ``ExactPoly`` and the brackets of
 one case are added up as ``ExactPoly``s, then compared or tested for zero.
 The tables are looked up in ``dkp.poisson`` at call time, so a test that
 swaps a table in runs both routes on the same table.
+
+It also holds the checks of claims no command runs: the first flow's
+evolution equations (``first_flow_rhs_AB``), the substitution identity
+between the two brackets (``verify_bracrel``), the homogeneity degrees of
+every table (``verify_degree_of_bracket``), and the degree count that
+rules out a first bracket on A, B (``first_bracket_degree_obstruction``).
 """
 
 from __future__ import annotations
@@ -14,8 +20,38 @@ import itertools
 from dkp import poisson
 from dkp.curve import compute_curve
 from dkp.lattice import reduction_levels
-from dkp.poisson import ab_generators, bracket_extend, c_generators, ladder_pairs
-from dkp.symalg import ExactPoly, gen_c, poly_sum
+from dkp.poisson import (
+    BracketTable,
+    Packed,
+    _mul_into,
+    ab_generators,
+    c_generators,
+    ladder_pairs,
+)
+from dkp.symalg import ExactPoly, Gen, gen_A, gen_B, gen_c, gen_degree, poly_sum
+from dkp.torus import _require_torus, build_kappa, build_rho
+
+
+def bracket_extend(table: BracketTable, f: ExactPoly, g: ExactPoly) -> ExactPoly:
+    """Bilinear + Leibniz extension of a generator table to polynomials.
+
+    Computed in gradient form, {f, g} = sum_a df/dx_a * {x_a, g}, with each
+    field {x_a, g} = sum_b dg/dx_b * {x_a, x_b} from the table's packed
+    kernel and a over the table's universe (alpha and beta are passive: they
+    bracket to zero).  Only the result is unpacked into an ``ExactPoly``.
+
+    Raises ``ValueError`` for a generator outside the table and
+    ``OverflowError`` for an exponent of magnitude 2**29 or more in f, g or
+    a table entry (three such exponents add up in one result monomial, and
+    the sum must stay inside the field).
+    """
+    acc: Packed = {}
+    df, dg = table._gradient(f), table._gradient(g)
+    for a, dfa in df.items():
+        field = table._field(dg, a)
+        if field:
+            _mul_into(acc, dfa, field)
+    return table.unpack(acc)
 
 
 def jacobi_defect(table, g1: ExactPoly, g2: ExactPoly, g3: ExactPoly) -> ExactPoly:
@@ -156,3 +192,116 @@ def flow_rows(N: int, M: int, d: int) -> list[ExactPoly]:
     gens = ab_generators(N, M)
     partials = [(x, qd.partial(x)) for x in gens]
     return [poly_sum(p * table.entry(g, x) for x, p in partials if p) for g in gens]
+
+
+def first_flow_rhs_AB(N: int, M: int) -> dict[Gen, ExactPoly]:
+    """Right sides of the first-flow evolution equations on every A, B."""
+    _require_torus(N, M)
+    kappa = build_kappa(N, M)
+    rho = build_rho(N, M)
+    out: dict[Gen, ExactPoly] = {}
+    for m in range(M):
+        for n in range(N):
+            kap_sum = poly_sum(
+                ExactPoly.const(kappa(k - n, l - m)) * ExactPoly.var(gen_A(k, l))
+                for l in range(M)
+                for k in range(N)
+            )
+            rho_sum = poly_sum(
+                ExactPoly.const(rho(k - n, l - m)) * ExactPoly.var(gen_A(k, l))
+                for l in range(M)
+                for k in range(N)
+            )
+            out[gen_A(n, m)] = (
+                ExactPoly.var(gen_B(n, m))
+                - ExactPoly.var(gen_B((n + 1) % N, m))
+                + kap_sum * ExactPoly.var(gen_A(n, m))
+            )
+            out[gen_B(n, m)] = rho_sum * ExactPoly.var(gen_B(n, m))
+    return out
+
+
+def verify_bracrel(N: int, M: int) -> dict:
+    """Substitution identity on generator pairs, in both orientations.
+
+    literal: { , }_1 = { , }_2 - { , }_2 with every c_M(h) shifted by +1;
+    flipped: { , }_1 equals the negative of that difference.
+    """
+    t1, t2 = poisson.bracket1_c(N, M), poisson.bracket2_c(N, M, 1)
+    gens = c_generators(N, M, 1)
+    shift = {
+        gen_c(1, M, h): ExactPoly.var(gen_c(1, M, h)) + ExactPoly.const(1)
+        for h in range(N)
+    }
+    literal_failures = []
+    flipped_failures = []
+    cases = 0
+    for a in range(len(gens)):
+        for b in range(a, len(gens)):
+            g1, g2 = gens[a], gens[b]
+            cases += 1
+            lhs = t1.entry(g1, g2)
+            p2 = t2.entry(g1, g2)
+            diff = p2 - p2.substitute(shift)
+            if lhs != diff:
+                literal_failures.append({"pair": [list(g1), list(g2)]})
+            if lhs != -diff:
+                flipped_failures.append({"pair": [list(g1), list(g2)]})
+    return {
+        "identity": "bracrel",
+        "N": N,
+        "M": M,
+        "cases": cases,
+        "failures": literal_failures,
+        "ok": not literal_failures,
+        "flipped_failures": flipped_failures,
+        "flipped_ok": not flipped_failures,
+    }
+
+
+def verify_degree_of_bracket(N: int, M: int) -> dict:
+    """Homogeneity degrees: bracket2 shifts by 0, bracket1 by -M."""
+    failures = []
+    cases = 0
+    t_ab = poisson.bracket2_AB(N, M)
+    for g1, g2 in itertools.combinations_with_replacement(ab_generators(N, M), 2):
+        cases += 1
+        p = t_ab.entry(g1, g2)
+        want = gen_degree(g1, N, M) + gen_degree(g2, N, M)
+        if p and (not p.is_homogeneous(N, M) or p.degree(N, M) != want):
+            failures.append({"table": "bracket2_AB", "pair": [list(g1), list(g2)]})
+    t1, t2 = poisson.bracket1_c(N, M), poisson.bracket2_c(N, M, 1)
+    for g1, g2 in itertools.combinations_with_replacement(c_generators(N, M, 1), 2):
+        cases += 2
+        want = gen_degree(g1, N, M) + gen_degree(g2, N, M)
+        p = t2.entry(g1, g2)
+        if p and (not p.is_homogeneous(N, M) or p.degree(N, M) != want):
+            failures.append({"table": "bracket2_c", "pair": [list(g1), list(g2)]})
+        p = t1.entry(g1, g2)
+        if p and (not p.is_homogeneous(N, M) or p.degree(N, M) != want - M):
+            failures.append({"table": "bracket1_c", "pair": [list(g1), list(g2)]})
+    return {
+        "identity": "degree_of_bracket",
+        "N": N,
+        "M": M,
+        "cases": cases,
+        "failures": failures,
+        "ok": not failures,
+    }
+
+
+def first_bracket_degree_obstruction(M: int) -> dict:
+    """Degree counting behind the no-first-bracket-on-A,B statement.
+
+    A bracket of degree -M sends a generator pair to degree
+    deg(g) + deg(h) - M; with deg A = 1, deg B = 2 the largest pair degree
+    is 4, so for M >= 5 every entry of a homogeneous degree -M bracket on
+    the A, B generators would have negative degree and must vanish.
+    """
+    targets = {"AA": 2 - M, "AB": 3 - M, "BB": 4 - M}
+    return {
+        "M": M,
+        "target_degrees": targets,
+        "all_negative": all(v < 0 for v in targets.values()),
+        "forces_zero_bracket": M >= 5,
+    }

@@ -28,13 +28,11 @@ from fractions import Fraction
 
 import pytest
 
-from dkp.curve import band_curve_substituted, compute_curve, realizable_degrees
+from dkp.curve import compute_curve
 from dkp.flows import KPStateNumeric, integrate
-from dkp.lattice import jacobian_rank_special
 from dkp.pipes import (
     enumerate_tpds,
     monomial_tpd_bijection,
-    pairing,
     product_key,
     sum_zero_check,
     verify_pairing_consistency,
@@ -43,9 +41,7 @@ from dkp.poisson import (
     bracket2_AB,
     c_generators,
     closure_verify,
-    first_flow_rhs_AB,
     qlink_report,
-    verify_bracrel,
     verify_casimir1,
     verify_casimir2,
     verify_compatibility,
@@ -53,17 +49,13 @@ from dkp.poisson import (
     verify_jacobi,
     verify_ladder,
 )
-from dkp.symalg import ExactPoly, gen_A, gen_B, poly_A, poly_B
-from dkp.torus import (
-    build_kappa,
-    build_phi,
-    build_rho,
-    build_zeta,
-    kappa_difference_spec,
-    rho_difference_spec,
-    solve_difference_spec,
-    zeta_row_slice,
-)
+from dkp.symalg import ExactPoly, gen_A, gen_B
+from dkp.torus import build_kappa, build_phi, build_rho, build_zeta
+from curve_oracle import band_curve_substituted, verify_degree_symmetry
+from lattice_oracle import dominance_rank
+from pipes_oracle import pairing
+from poisson_oracle import first_flow_rhs_AB, verify_bracrel
+from torus_oracle import kappa_difference_spec, rho_difference_spec, solve_difference_spec
 
 AC_TORI = [(3, 2), (5, 2), (4, 3)]
 SIGN_TORI = [(3, 2), (5, 2), (4, 3), (2, 3), (3, 4), (7, 2), (5, 3)]
@@ -82,6 +74,14 @@ def verdict(capsys, number: int, name: str, ok: bool, detail: str = "") -> None:
 # AC1 — single-row chain regression (M=1, N=3,4), exact, < 1 s
 
 
+def A(n: int) -> ExactPoly:
+    return ExactPoly.var(gen_A(n, 0))
+
+
+def B(n: int) -> ExactPoly:
+    return ExactPoly.var(gen_B(n, 0))
+
+
 def _expected_single_row_entry(N: int, g1, g2) -> ExactPoly:
     """Closed-form M=1 bracket for a generator pair, all four families."""
     kind1, k, _ = g1
@@ -89,21 +89,21 @@ def _expected_single_row_entry(N: int, g1, g2) -> ExactPoly:
     out = ExactPoly.zero()
     if kind1 == "A" and kind2 == "A":
         if k == (n - 1) % N:
-            out = out + poly_B(n, 0)
+            out = out + B(n)
         if k == (n + 1) % N:
-            out = out - poly_B((n + 1) % N, 0)
+            out = out - B((n + 1) % N)
     elif kind1 == "A" and kind2 == "B":
         if k == n:
-            out = out + poly_A(k, 0) * poly_B(n, 0)
+            out = out + A(k) * B(n)
         if k == (n - 1) % N:
-            out = out - poly_A(k, 0) * poly_B(n, 0)
+            out = out - A(k) * B(n)
     elif kind1 == "B" and kind2 == "A":
         return ExactPoly.zero() - _expected_single_row_entry(N, g2, g1)
     else:
         if k == (n + 1) % N:
-            out = out + poly_B(k, 0) * poly_B(n, 0)
+            out = out + B(k) * B(n)
         if k == (n - 1) % N:
-            out = out - poly_B(k, 0) * poly_B(n, 0)
+            out = out - B(k) * B(n)
     return out
 
 
@@ -119,9 +119,9 @@ def test_ac01_single_row_regression(capsys):
                     problems.append(("table", N, g1, g2))
         rhs = first_flow_rhs_AB(N, 1)
         for n in range(N):
-            if rhs[gen_A(n, 0)] != poly_B(n, 0) - poly_B((n + 1) % N, 0):
+            if rhs[gen_A(n, 0)] != B(n) - B((n + 1) % N):
                 problems.append(("flow-A", N, n))
-            if rhs[gen_B(n, 0)] != (poly_A(n, 0) - poly_A((n - 1) % N, 0)) * poly_B(n, 0):
+            if rhs[gen_B(n, 0)] != (A(n) - A((n - 1) % N)) * B(n):
                 problems.append(("flow-B", N, n))
         curve = compute_curve(N, 1)
         if curve.degrees() != list(range(1, N + 1)) + [2 * N]:
@@ -254,11 +254,11 @@ def test_ac03_sign_table_suite(capsys):
         cases += _ac3_difference_conditions(N, M)
         cases += _ac3_addition_rules(N, M)
         for x in range(1, 2 * M + 2):
-            slice_ = zeta_row_slice(N, M, x)
+            z = build_zeta(N, M, x - 1, M - 1)  # its m=0 slice
             for n in range(N):
                 cases += 1
                 want = 0 if x >= M else (1 if n == (-M + x) % N else 0) - (1 if n == 0 else 0)
-                assert slice_[n] == want, ("slice", N, M, x, n)
+                assert z(n, 0) == want, ("slice", N, M, x, n)
     elapsed = time.perf_counter() - t0
     verdict(
         capsys, 3, "sign-table suite", True,
@@ -283,8 +283,6 @@ def test_ac04_curve_ledger(capsys):
             problems.append(f"({N},{M}) ledger count")
         if len(curve.casimir2_degrees()) != 2 * M:
             problems.append(f"({N},{M}) beta-free Casimir count")
-        from dkp.curve import verify_degree_symmetry
-
         sym = verify_degree_symmetry(curve)
         if not sym["all_ok"]:
             problems.append(f"({N},{M}) grading/mirror")
@@ -439,14 +437,13 @@ def test_ac09_qlink(capsys):
 def test_ac10_dominance(capsys):
     t0 = time.perf_counter()
     reports = [
-        jacobian_rank_special(N, M, j)
+        (N, M, j, *dominance_rank(N, M, j))
         for N, M in [(3, 2), (4, 3)]
         for j in range(1, M)
     ]
-    ok = all(r["full_rank"] for r in reports)
+    ok = all(rank == dim for *_, rank, dim in reports)
     detail = "; ".join(
-        f"({r['N']},{r['M']}) level {r['level']}: rank {r['rank']}/{r['target_dim']}"
-        for r in reports
+        f"({N},{M}) level {j}: rank {rank}/{dim}" for N, M, j, rank, dim in reports
     )
     elapsed = time.perf_counter() - t0
     verdict(capsys, 10, "reduction dominance", ok, detail + f" in {elapsed:.1f}s")

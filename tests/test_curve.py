@@ -5,15 +5,13 @@ import pytest
 from dkp.curve import (
     LedgerEntry,
     SpectralCurve,
-    band_curve_substituted,
     compute_curve,
-    q_ledger,
     realizable_degrees,
     slot_degree,
-    verify_degree_symmetry,
 )
 from dkp.lattice import c_alpha_minus_beta, det_minor_expansion, reduction_levels
 from dkp.symalg import ExactPoly, gen_A, gen_B, gen_c, poly_sum
+from curve_oracle import band_curve_substituted, poly_from_jsonable, verify_degree_symmetry
 
 
 def A(N, k, m=0):
@@ -74,11 +72,10 @@ def test_single_layer_normalization_any_parity(N):
 
 def test_two_layer_three_site_ledger():
     curve = compute_curve(3, 2)
-    led = q_ledger(curve)
-    assert led["degrees"] == [1, 2, 3, 4, 6, 7, 9, 12]
-    assert led["count"] == led["count_expected"] == 8
-    assert led["casimir2_degrees"] == [3, 6, 9, 12]
-    assert led["casimir1_degrees"] == [1, 2, 7, 12]
+    assert curve.degrees() == [1, 2, 3, 4, 6, 7, 9, 12]
+    assert len(curve.degrees()) == (3 + 1) * 2
+    assert curve.casimir2_degrees() == [3, 6, 9, 12]
+    assert curve.casimir1_degrees() == [1, 2, 7, 12]
     sumA = poly_sum(A(3, k, m) for k in range(3) for m in range(2))
     assert curve.q(1) == -sumA
     assert curve.poly(2, 0) == ExactPoly.const(1)
@@ -101,21 +98,18 @@ def test_two_layer_three_site_slots():
 
 def test_five_site_two_layer_ledger():
     curve = compute_curve(5, 2)
-    led = q_ledger(curve)
-    assert led["degrees"] == [1, 2, 3, 4, 5, 6, 8, 10, 11, 13, 15, 20]
-    assert led["count"] == led["count_expected"] == 12
-    assert led["casimir2_degrees"] == [5, 10, 15, 20]
-    assert led["casimir1_degrees"] == [1, 2, 11, 20]
+    assert curve.degrees() == [1, 2, 3, 4, 5, 6, 8, 10, 11, 13, 15, 20]
+    assert len(curve.degrees()) == (5 + 1) * 2
+    assert curve.casimir2_degrees() == [5, 10, 15, 20]
+    assert curve.casimir1_degrees() == [1, 2, 11, 20]
 
 
 def test_four_site_three_layer_ledger():
     curve = compute_curve(4, 3)
-    led = q_ledger(curve)
-    assert led["degrees"] == [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 13, 16, 17, 20, 24]
-    assert led["count"] == led["count_expected"] == 15
-    assert led["casimir2_degrees"] == [4, 8, 12, 16, 20, 24]
-    assert len(led["casimir1_degrees"]) == 6
-    assert led["casimir1_degrees"] == [1, 2, 3, 10, 17, 24]
+    assert curve.degrees() == [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 13, 16, 17, 20, 24]
+    assert len(curve.degrees()) == (4 + 1) * 3
+    assert curve.casimir2_degrees() == [4, 8, 12, 16, 20, 24]
+    assert curve.casimir1_degrees() == [1, 2, 3, 10, 17, 24]
 
 
 def test_even_site_count_flips_the_raw_pivot():
@@ -179,15 +173,14 @@ def test_ledger_entry_serialization_roundtrip():
     assert data["N"] == 3 and data["M"] == 2 and data["mode"] == "ab"
     entry = data["ledger"]["7"]
     assert entry["alpha_exp"] == -1 and entry["beta_exp"] == 1
-    assert ExactPoly.from_jsonable(entry["poly"]) == curve.q(7)
+    assert poly_from_jsonable(entry["poly"]) == curve.q(7)
 
 
-def test_q_ledger_report_fields():
-    led = q_ledger(compute_curve(3, 1))
-    assert led["count_ok"]
-    assert set(led["entries"]) == {1, 2, 3, 6}
-    assert led["entries"][3]["is_casimir2"] and not led["entries"][3]["is_casimir1"]
-    assert led["entries"][1]["is_casimir1"] and not led["entries"][1]["is_casimir2"]
+def test_ledger_entry_tags():
+    ledger = compute_curve(3, 1).ledger
+    assert set(ledger) == {1, 2, 3, 6}
+    assert ledger[3].is_casimir2 and not ledger[3].is_casimir1
+    assert ledger[1].is_casimir1 and not ledger[1].is_casimir2
 
 
 def test_errors():

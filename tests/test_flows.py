@@ -23,6 +23,10 @@ from dkp.poisson import BracketTable, bracket2_AB, c_generators, pullback
 from dkp.symalg import ExactPoly, gen_A, gen_B
 
 
+def zero_state(N: int, M: int) -> KPStateNumeric:
+    return KPStateNumeric(N, M, np.zeros((M, N)), np.zeros((M, N)))
+
+
 class TestState:
     def test_random_in_range_and_deterministic(self):
         s1 = KPStateNumeric.random(3, 2, seed=5)
@@ -298,7 +302,7 @@ class TestFlowRHS:
 
 class TestIntegration:
     def test_zero_state_stationary(self):
-        res = integrate(KPStateNumeric.zero(3, 2), "first", dt=1e-2, T=0.5)
+        res = integrate(zero_state(3, 2), "first", dt=1e-2, T=0.5)
         assert np.allclose(res.state.flat(), 0.0)
         assert res.max_drift == 0.0
 
@@ -354,7 +358,7 @@ class TestIntegration:
                 integrate(big, "first", 1.0, 3.0)
 
     def test_bad_step_parameters(self):
-        s = KPStateNumeric.zero(3, 2)
+        s = zero_state(3, 2)
         with pytest.raises(ValueError):
             integrate(s, "first", 0.0, 1.0)
         with pytest.raises(ValueError):

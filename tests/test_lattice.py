@@ -11,20 +11,22 @@ from dkp.lattice import (
     c_alpha_minus_beta,
     c_generators,
     det_minor_expansion,
-    dominance_point_random,
-    dominance_point_special,
-    dominance_rank,
     level_entries,
-    level_halfwidth,
-    matrix_rank_exact,
     reduce_step,
     reduction_levels,
     top_level,
+)
+from dkp.symalg import ALPHA, BETA, ExactPoly, gen_A, gen_B, gen_c
+from lattice_oracle import (
+    band_product,
+    det_permutation,
+    dominance_point_random,
+    dominance_point_special,
+    dominance_rank,
+    matrix_rank_exact,
     w_matrix,
     x_band,
 )
-from dkp.symalg import ALPHA, BETA, ExactPoly, gen_A, gen_B, gen_c
-from lattice_oracle import band_product, det_permutation
 
 TORI = [(3, 2), (5, 2), (4, 3), (2, 3), (3, 4), (5, 3)]
 
@@ -127,8 +129,8 @@ def test_x_band_entries():
 def test_reduction_levels_match_band_products(N, M):
     levels = reduction_levels(N, M)
     for j in range(1, M + 1):
-        w = level_halfwidth(M, j)
-        assert BandMatrix.from_band_entries(N, w, levels[j]) == band_product(N, M, j)
+        halfwidth = M + 1 - j
+        assert BandMatrix.from_band_entries(N, halfwidth, levels[j]) == band_product(N, M, j)
 
 
 @pytest.mark.parametrize("N,M", TORI)

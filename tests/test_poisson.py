@@ -17,24 +17,26 @@ from dkp.poisson import (
     bracket1_c_pair,
     bracket2_AB,
     bracket2_c,
-    bracket_extend,
     c_generators,
     closure_verify,
-    first_bracket_degree_obstruction,
-    first_flow_rhs_AB,
     induced_bracket_c,
     qlink_report,
-    verify_bracrel,
     verify_casimir1,
     verify_casimir2,
     verify_compatibility,
-    verify_degree_of_bracket,
     verify_involution,
     verify_jacobi,
     verify_ladder,
 )
 from dkp.symalg import ALPHA, BETA, ExactPoly, gen_A, gen_B, gen_c, poly_sum
-from poisson_oracle import jacobi_defect
+from poisson_oracle import (
+    bracket_extend,
+    first_bracket_degree_obstruction,
+    first_flow_rhs_AB,
+    jacobi_defect,
+    verify_bracrel,
+    verify_degree_of_bracket,
+)
 
 TORI = [(3, 2), (5, 2), (4, 3)]
 

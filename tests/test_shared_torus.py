@@ -1,4 +1,4 @@
-"""One torus validator, per-torus objects built once, and no unused imports or private code."""
+"""One torus validator, per-torus objects built once, no unused imports, and no code the program does not run."""
 
 from __future__ import annotations
 
@@ -146,32 +146,56 @@ def test_no_unused_top_level_imports():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
-def _references(tree: ast.AST, skip: ast.AST) -> set[str]:
-    """Every name, attribute and imported name in `tree`, outside the subtree `skip`."""
+def _references(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name in `tree`."""
     found: set[str] = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
         elif isinstance(node, ast.alias):
             found.add(node.name)
-        stack.extend(ast.iter_child_nodes(node))
     return found
 
 
-def test_every_private_top_level_definition_is_referenced():
+def _definitions(tree: ast.Module) -> list[ast.FunctionDef | ast.ClassDef]:
+    return [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _roots(modules: dict[str, ast.Module]) -> set[str]:
+    """What the program runs: all of cli.py, the names ``dkp`` exports, and
+    the names the benchmark tools import from ``dkp``."""
+    roots = _references(modules["cli"]) | {node.name for node in _definitions(modules["cli"])}
+    for node in modules["__init__"].body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            roots |= set(ast.literal_eval(node.value))
+    for path in sorted((SRC.parents[1] / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dkp":
+                roots |= {alias.name for alias in node.names}
+    return roots
+
+
+def test_every_top_level_definition_is_reachable_from_a_root():
+    # A definition is reached when a root or a reached definition names it;
+    # one that only tests or only unreached code name belongs beside its tests.
     modules = _modules()
-    unreferenced = [
+    bodies: dict[str, list[ast.AST]] = {}
+    for tree in modules.values():
+        for node in _definitions(tree):
+            bodies.setdefault(node.name, []).append(node)
+    reached = _roots(modules)
+    frontier = list(reached)
+    while frontier:
+        for node in bodies.get(frontier.pop(), ()):
+            new = _references(node) - reached
+            reached |= new
+            frontier.extend(new)
+    unreachable = [
         f"{name}.{node.name}"
         for name, tree in modules.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not any(node.name in _references(other, node) for other in modules.values())
+        for node in _definitions(tree)
+        if node.name not in reached
     ]
-    assert unreferenced == []
+    assert unreachable == []
