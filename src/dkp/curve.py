@@ -88,23 +88,6 @@ def slot_degree(N: int, M: int, a: int, b: int) -> int:
     return N * M - a * N - b * M
 
 
-def realizable_degrees(N: int, M: int) -> dict[int, tuple[int, int]]:
-    """Positive degrees allowed by the grading: d = NM - aN - bM with the
-    mirrored slot NM + aN - bM also nonnegative.  Maps degree -> slot."""
-    out: dict[int, tuple[int, int]] = {}
-    for a in range(-N * M, N * M + 1):
-        for b in range(0, N + 1):
-            d = slot_degree(N, M, a, b)
-            mirror = N * M + a * N - b * M
-            if d >= 1 and mirror >= 0:
-                if d in out:
-                    raise ValueError(
-                        f"degree collision at d={d}: slots {out[d]} and {(a, b)}"
-                    )
-                out[d] = (a, b)
-    return out
-
-
 def _band_for_mode(N: int, M: int, mode: str) -> LevelData:
     key = mode.lower()
     if key == "ab":

@@ -87,7 +87,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, compress
 from typing import Iterator, Sequence
 
-from .curve import _curve_slots, realizable_degrees, slot_degree
+from .curve import _curve_slots, slot_degree
 from .lattice import reduction_levels
 from .symalg import ExactPoly, Gen, Scalar, gen_B
 from .torus import SignFunction, _require_torus, build_kappa
@@ -307,8 +307,8 @@ def monomial_tpd_bijection(N: int, M: int) -> dict:
     For each degree d from 1 to NM the monomials of q_d surviving B = 0 are
     looked up by support in the enumeration of degree d and the counts are
     compared; the report carries both directions of the map and per-degree
-    counts.  Ledger degrees above NM are checked to have no surviving
-    monomial (a squarefree pure-A monomial has at most NM factors).  Two
+    counts.  A ledger degree above NM that keeps a monomial at B = 0 raises
+    (a squarefree pure-A monomial has at most NM factors).  Two
     diagrams of one degree sharing a support, or a monomial with no closed
     diagram, raise: either would break the bijection.
     """
@@ -331,7 +331,6 @@ def monomial_tpd_bijection(N: int, M: int) -> dict:
                 )
             supports_by_degree[d].append(support)
             coeffs_by_support[support] = coeff
-    high_degrees = {d: 0 for d in sorted(realizable_degrees(N, M)) if d > NM}
 
     per_degree: dict[int, dict] = {}
     monomial_to_diagram: dict[frozenset[Site], PipeDiagram] = {}
@@ -364,7 +363,6 @@ def monomial_tpd_bijection(N: int, M: int) -> dict:
         "N": N,
         "M": M,
         "per_degree": per_degree,
-        "high_degree_monomials": high_degrees,
         "total_monomials": sum(r["monomials"] for r in per_degree.values()),
         "total_diagrams": sum(r["diagrams"] for r in per_degree.values()),
         "monomial_to_diagram": monomial_to_diagram,

@@ -7,12 +7,18 @@ Bracket 2 lives in two coordinate systems:
 * on the band variables c_i(k) of any reduction level, the induced closed
   form: a zeta-coefficient product term plus the rectangle sum f.
 
-Bracket 1 lives on the level-1 band variables only, via the per-period
-trace formula with the strictly-upper / weakly-lower split.  Its overall
-orientation is pinned by the classical single-layer limit {A(n), B(n)}_1
-= -B(n): the raw trace expression produces the opposite sign, so the
-implementation negates it (BRACKET1_SIGN below); the identity suite keeps
-both orientations visible in its reports.
+Bracket 1 lives on the level-1 band variables only.  It is the per-period
+trace formula with the strictly-upper / weakly-lower split, read in closed
+form: an elementary band times an elementary band is elementary, and the
+trace against C^T picks out one band entry, so each entry is at most two
+signed band entries c_i(k), with c_0 = 1 (``bracket1_c_pair`` gives the
+derivation).  The formula as written, on band matrices, is
+``bracket1_c_literal`` in ``tests/poisson_oracle.py``, the reference the
+closed form is tested against.  The overall orientation is pinned by the
+classical single-layer limit {A(n), B(n)}_1 = -B(n): the raw trace
+expression produces the opposite sign, so the implementation negates it
+(BRACKET1_SIGN below); the substitution check of AC07 (``verify_bracrel``
+in the same oracle module) reports both orientations.
 
 A table extends to polynomials through one packed kernel,
 ``BracketTable._field_into``: the Hamiltonian field {x_a, g} = sum_b
@@ -53,7 +59,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from dkp.curve import SpectralCurve, band_curve
-from dkp.lattice import BandMatrix, abstract_level, c_generators, level_entries
+from dkp.lattice import c_generators, level_entries
 from dkp.symalg import (
     ALPHA,
     BETA,
@@ -422,32 +428,43 @@ def closure_verify(N: int, M: int, j: int = 1) -> dict:
 # ------------------------------------------------------------------- bracket1
 
 
-def _elementary_band(N: int, M: int, i: int, k: int) -> BandMatrix:
-    return BandMatrix(N, {(M - i, k % N): ExactPoly.const(1)})
-
-
-@lru_cache(maxsize=None)
-def _abstract_band_transpose(N: int, M: int) -> BandMatrix:
-    """The transposed abstract level-1 band, built once per torus and only read."""
-    return BandMatrix.from_band_entries(N, M, abstract_level(N, M, 1)).transpose()
-
-
-def bracket1_c_literal(
-    N: int, M: int, g1: tuple[int, int], g2: tuple[int, int]
-) -> ExactPoly:
-    """The trace formula exactly as written, with R+ strictly upper."""
-    _require_torus(N, M)
-    e1 = _elementary_band(N, M, *g1)
-    e2 = _elementary_band(N, M, *g2)
-    expr = (
-        e1.upper_part().commutator(e2.upper_part())
-        - e1.lower_part().commutator(e2.lower_part())
-    ) * _abstract_band_transpose(N, M)
-    return expr.trace_per_period()
-
-
 def bracket1_c_pair(N: int, M: int, g1: tuple[int, int], g2: tuple[int, int]) -> ExactPoly:
-    return bracket1_c_literal(N, M, g1, g2) * BRACKET1_SIGN
+    """{c_i1(k1), c_i2(k2)}_1 on the level-1 band, in closed form.
+
+    With congruences mod N, c_0 = 1 and c_i = 0 for i outside [0, 2M]:
+
+        {c_i1(k1), c_i2(k2)}_1 = BRACKET1_SIGN * s * ([k2 = k1 + M - i1] c_{i1+i2-M}(k1)
+                                                   - [k1 = k2 + M - i2] c_{i1+i2-M}(k2))
+
+    where s = +1 if i1, i2 < M, s = -1 if i1, i2 >= M, and s = 0 otherwise.
+
+    Derivation from the trace formula tr([E1+, E2+] - [E1-, E2-]) C^T per
+    period, with E1, E2 the gradients of c_i1(k1), c_i2(k2).  The gradient
+    of c_i(k) is the N-periodic elementary band E with a 1 at (k, k + M - i):
+    strictly upper (E+ = E) when i < M, weakly lower (E- = E) when i >= M.
+    So both commutators vanish for a mixed pair, and otherwise one of them
+    is [E1, E2], with the sign s.  A product of elementary bands is
+    elementary: E1 E2 has its 1 at (k1, k1 + 2M - i1 - i2) when
+    k1 + M - i1 = k2, and E2 E1 has its 1 at (k2, k2 + 2M - i1 - i2) when
+    k2 + M - i2 = k1.  An elementary X with its 1 at (k, k + o) gives
+    tr X C^T = C(k, k + o) = c_{M-o}(k), here c_{i1+i2-M}.  The literal
+    formula is ``bracket1_c_literal`` in ``tests/poisson_oracle.py``.
+    """
+    _require_torus(N, M)
+    (i1, k1), (i2, k2) = g1, g2
+    i = i1 + i2 - M
+    if (i1 < M) != (i2 < M) or not 0 <= i <= 2 * M:
+        return ExactPoly.zero()
+
+    def c(k: int) -> ExactPoly:
+        return ExactPoly.var(gen_c(1, i, k % N)) if i else ExactPoly.const(1)
+
+    out = ExactPoly.zero()
+    if (k2 - k1 - M + i1) % N == 0:
+        out = out + c(k1)
+    if (k1 - k2 - M + i2) % N == 0:
+        out = out - c(k2)
+    return out * (BRACKET1_SIGN if i1 < M else -BRACKET1_SIGN)
 
 
 @lru_cache(maxsize=None)

@@ -40,21 +40,6 @@ def gen_c(j: int, i: int, k: int) -> Gen:
     return ("c", j, i, k)
 
 
-def gen_degree(gen: Gen, N: int, M: int) -> int:
-    kind = gen[0]
-    if kind == "A":
-        return 1
-    if kind == "B":
-        return 2
-    if kind == "c":
-        return gen[2]
-    if kind == "alpha":
-        return N
-    if kind == "beta":
-        return M
-    raise ValueError(f"unknown generator {gen!r}")
-
-
 def _norm_scalar(q: Scalar) -> Scalar:
     if isinstance(q, Fraction) and q.denominator == 1:
         return int(q)
@@ -200,23 +185,6 @@ class ExactPoly:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return self.terms.get((), 0)
-
-    def variables(self) -> set[Gen]:
-        return {g for mono in self.terms for g, _ in mono}
-
-    def degree(self, N: int, M: int) -> int:
-        """Max weighted degree; raises on the zero polynomial."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(
-            sum(gen_degree(g, N, M) * e for g, e in mono) for mono in self.terms
-        )
-
-    def is_homogeneous(self, N: int, M: int) -> bool:
-        degs = {
-            sum(gen_degree(g, N, M) * e for g, e in mono) for mono in self.terms
-        }
-        return len(degs) <= 1
 
     def coefficient(self, gen: Gen, exp: int) -> "ExactPoly":
         """The polynomial coefficient of gen**exp (gen removed)."""

@@ -1,9 +1,10 @@
 """Checks of the spectral curve that no command runs, and the report reader.
 
 ``verify_degree_symmetry`` checks a curve's grading and mirror symmetry slot
-by slot; ``band_curve_substituted`` takes a band-mode curve to A, B through
-the block row reduction, which must give the AB-mode curve; and
-``poly_from_jsonable`` reads back the polynomials a report writes.
+by slot, against the degrees the grading allows (``realizable_degrees``);
+``band_curve_substituted`` takes a band-mode curve to A, B through the block
+row reduction, which must give the AB-mode curve; and ``poly_from_jsonable``
+reads back the polynomials a report writes.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from dkp.curve import SpectralCurve, realizable_degrees, slot_degree
+from dkp.curve import SpectralCurve, slot_degree
 from dkp.lattice import level_entries
 from dkp.symalg import ExactPoly
+from symalg_oracle import degree, is_homogeneous
 
 
 def poly_from_jsonable(data: Iterable) -> ExactPoly:
@@ -21,6 +23,23 @@ def poly_from_jsonable(data: Iterable) -> ExactPoly:
     return ExactPoly(
         {tuple((tuple(g), e) for g, e in mono): Fraction(num, den) for mono, num, den in data}
     )
+
+
+def realizable_degrees(N: int, M: int) -> dict[int, tuple[int, int]]:
+    """Positive degrees allowed by the grading: d = NM - aN - bM with the
+    mirrored slot NM + aN - bM also nonnegative.  Maps degree -> slot."""
+    out: dict[int, tuple[int, int]] = {}
+    for a in range(-N * M, N * M + 1):
+        for b in range(0, N + 1):
+            d = slot_degree(N, M, a, b)
+            mirror = N * M + a * N - b * M
+            if d >= 1 and mirror >= 0:
+                if d in out:
+                    raise ValueError(
+                        f"degree collision at d={d}: slots {out[d]} and {(a, b)}"
+                    )
+                out[d] = (a, b)
+    return out
 
 
 def verify_degree_symmetry(curve: SpectralCurve) -> dict:
@@ -35,7 +54,7 @@ def verify_degree_symmetry(curve: SpectralCurve) -> dict:
     homogeneous_ok = True
     for (a, b), p in curve.coefficients.items():
         d = slot_degree(N, M, a, b)
-        if p and not (p.is_homogeneous(N, M) and (p.is_constant() or p.degree(N, M) == d)):
+        if p and not (is_homogeneous(p, N, M) and (p.is_constant() or degree(p, N, M) == d)):
             homogeneous_ok = False
         if p and p.is_constant() and d != 0:
             homogeneous_ok = False

@@ -1,5 +1,8 @@
 """Slow, independent references for the band algebra, the determinant and dominance.
 
+``BandMatrix`` is the algebra of N-periodic infinite band matrices (product,
+transpose, commutator, upper and lower parts, trace per period); the literal
+trace formula of the first bracket (``tests/poisson_oracle.py``) runs on it.
 ``band_product`` multiplies the tridiagonal factors (``x_band``) directly,
 which the block row reduction must reproduce level by level;
 ``det_permutation`` sums over all permutations, which the memoized minor
@@ -19,9 +22,97 @@ import random
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from dkp.lattice import BandMatrix, Matrix, abstract_level, reduce_step
+from dkp.lattice import Matrix, abstract_level, reduce_step
 from dkp.symalg import ALPHA, BETA, ExactPoly, Gen, gen_A, gen_B, gen_c
 from dkp.torus import _require_torus
+
+
+class BandMatrix:
+    """N-periodic infinite band matrix with ExactPoly entries.
+
+    Stored sparsely as {(offset, site): poly} where the infinite entry at
+    (k, k+offset) equals entries[(offset, k mod N)].
+    """
+
+    __slots__ = ("N", "entries")
+
+    def __init__(self, N: int, entries: Mapping[tuple[int, int], ExactPoly] | None = None):
+        self.N = N
+        self.entries: dict[tuple[int, int], ExactPoly] = {}
+        if entries:
+            for (o, k), p in entries.items():
+                if p:
+                    self.entries[(o, k % N)] = p
+
+    @classmethod
+    def from_band_entries(
+        cls, N: int, halfwidth: int, c: Mapping[tuple[int, int], ExactPoly]
+    ) -> "BandMatrix":
+        """Build from band-indexed data c[(i, k)] at offset halfwidth - i."""
+        return cls(N, {(halfwidth - i, k): p for (i, k), p in c.items()})
+
+    def entry(self, k: int, l: int) -> ExactPoly:
+        return self.entries.get((l - k, k % self.N), ExactPoly.zero())
+
+    def halfwidth(self) -> int:
+        return max((abs(o) for o, _ in self.entries), default=0)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BandMatrix):
+            return NotImplemented
+        return self.N == other.N and self.entries == other.entries
+
+    def __add__(self, other: "BandMatrix") -> "BandMatrix":
+        out = dict(self.entries)
+        for key, p in other.entries.items():
+            q = out.get(key, ExactPoly.zero()) + p
+            if q:
+                out[key] = q
+            else:
+                out.pop(key, None)
+        return BandMatrix(self.N, out)
+
+    def __neg__(self) -> "BandMatrix":
+        return BandMatrix(self.N, {key: -p for key, p in self.entries.items()})
+
+    def __sub__(self, other: "BandMatrix") -> "BandMatrix":
+        return self + (-other)
+
+    def __mul__(self, other: "BandMatrix") -> "BandMatrix":
+        acc: dict[tuple[int, int], ExactPoly] = {}
+        for (o1, k), p in self.entries.items():
+            for (o2, k2), q in other.entries.items():
+                if (k + o1) % self.N != k2:
+                    continue
+                key = (o1 + o2, k)
+                r = acc.get(key, ExactPoly.zero()) + p * q
+                if r:
+                    acc[key] = r
+                else:
+                    acc.pop(key, None)
+        return BandMatrix(self.N, acc)
+
+    def commutator(self, other: "BandMatrix") -> "BandMatrix":
+        return self * other - other * self
+
+    def transpose(self) -> "BandMatrix":
+        return BandMatrix(
+            self.N, {(-o, (k + o) % self.N): p for (o, k), p in self.entries.items()}
+        )
+
+    def upper_part(self) -> "BandMatrix":
+        """Strictly upper triangular piece (column > row)."""
+        return BandMatrix(self.N, {key: p for key, p in self.entries.items() if key[0] > 0})
+
+    def lower_part(self) -> "BandMatrix":
+        """Lower triangular piece including the diagonal."""
+        return BandMatrix(self.N, {key: p for key, p in self.entries.items() if key[0] <= 0})
+
+    def trace_per_period(self) -> ExactPoly:
+        out = ExactPoly.zero()
+        for k in range(self.N):
+            out = out + self.entries.get((0, k), ExactPoly.zero())
+        return out
 
 
 def x_band(N: int, M: int, m: int) -> BandMatrix:

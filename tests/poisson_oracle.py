@@ -6,6 +6,10 @@ one case are added up as ``ExactPoly``s, then compared or tested for zero.
 The tables are looked up in ``dkp.poisson`` at call time, so a test that
 swaps a table in runs both routes on the same table.
 
+``bracket1_c_literal`` is the first bracket's trace formula exactly as
+written, on ``BandMatrix``; ``dkp.poisson.bracket1_c_pair`` reads it in
+closed form and is tested against it.
+
 It also holds the checks of claims no command runs: the first flow's
 evolution equations (``first_flow_rhs_AB``), the substitution identity
 between the two brackets (``verify_bracrel``), the homogeneity degrees of
@@ -16,10 +20,11 @@ rules out a first bracket on A, B (``first_bracket_degree_obstruction``).
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from dkp import poisson
 from dkp.curve import compute_curve
-from dkp.lattice import reduction_levels
+from dkp.lattice import abstract_level, reduction_levels
 from dkp.poisson import (
     BracketTable,
     Packed,
@@ -28,8 +33,10 @@ from dkp.poisson import (
     c_generators,
     ladder_pairs,
 )
-from dkp.symalg import ExactPoly, Gen, gen_A, gen_B, gen_c, gen_degree, poly_sum
+from dkp.symalg import ExactPoly, Gen, gen_A, gen_B, gen_c, poly_sum
 from dkp.torus import _require_torus, build_kappa, build_rho
+from lattice_oracle import BandMatrix
+from symalg_oracle import degree, gen_degree, is_homogeneous
 
 
 def bracket_extend(table: BracketTable, f: ExactPoly, g: ExactPoly) -> ExactPoly:
@@ -52,6 +59,27 @@ def bracket_extend(table: BracketTable, f: ExactPoly, g: ExactPoly) -> ExactPoly
         if field:
             _mul_into(acc, dfa, field)
     return table.unpack(acc)
+
+
+def bracket1_c_literal(
+    N: int, M: int, g1: tuple[int, int], g2: tuple[int, int]
+) -> ExactPoly:
+    """The trace formula exactly as written, with R+ strictly upper:
+    tr([E1+, E2+] - [E1-, E2-]) C^T per period, where E is the elementary
+    band with a 1 where C holds c_i(k) and C is the abstract level-1 band."""
+    _require_torus(N, M)
+    e1, e2 = (BandMatrix(N, {(M - i, k): ExactPoly.const(1)}) for i, k in (g1, g2))
+    expr = (
+        e1.upper_part().commutator(e2.upper_part())
+        - e1.lower_part().commutator(e2.lower_part())
+    ) * _band_transpose(N, M)
+    return expr.trace_per_period()
+
+
+@lru_cache(maxsize=None)
+def _band_transpose(N: int, M: int) -> BandMatrix:
+    """C^T for the abstract level-1 band C, built once per torus."""
+    return BandMatrix.from_band_entries(N, M, abstract_level(N, M, 1)).transpose()
 
 
 def jacobi_defect(table, g1: ExactPoly, g2: ExactPoly, g3: ExactPoly) -> ExactPoly:
@@ -268,17 +296,17 @@ def verify_degree_of_bracket(N: int, M: int) -> dict:
         cases += 1
         p = t_ab.entry(g1, g2)
         want = gen_degree(g1, N, M) + gen_degree(g2, N, M)
-        if p and (not p.is_homogeneous(N, M) or p.degree(N, M) != want):
+        if p and (not is_homogeneous(p, N, M) or degree(p, N, M) != want):
             failures.append({"table": "bracket2_AB", "pair": [list(g1), list(g2)]})
     t1, t2 = poisson.bracket1_c(N, M), poisson.bracket2_c(N, M, 1)
     for g1, g2 in itertools.combinations_with_replacement(c_generators(N, M, 1), 2):
         cases += 2
         want = gen_degree(g1, N, M) + gen_degree(g2, N, M)
         p = t2.entry(g1, g2)
-        if p and (not p.is_homogeneous(N, M) or p.degree(N, M) != want):
+        if p and (not is_homogeneous(p, N, M) or degree(p, N, M) != want):
             failures.append({"table": "bracket2_c", "pair": [list(g1), list(g2)]})
         p = t1.entry(g1, g2)
-        if p and (not p.is_homogeneous(N, M) or p.degree(N, M) != want - M):
+        if p and (not is_homogeneous(p, N, M) or degree(p, N, M) != want - M):
             failures.append({"table": "bracket1_c", "pair": [list(g1), list(g2)]})
     return {
         "identity": "degree_of_bracket",

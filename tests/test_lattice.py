@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from dkp.lattice import (
-    BandMatrix,
     abstract_level,
     c_alpha,
     c_alpha_minus_beta,
@@ -18,6 +17,7 @@ from dkp.lattice import (
 )
 from dkp.symalg import ALPHA, BETA, ExactPoly, gen_A, gen_B, gen_c
 from lattice_oracle import (
+    BandMatrix,
     band_product,
     det_permutation,
     dominance_point_random,
@@ -27,6 +27,7 @@ from lattice_oracle import (
     w_matrix,
     x_band,
 )
+from symalg_oracle import degree, is_homogeneous
 
 TORI = [(3, 2), (5, 2), (4, 3), (2, 3), (3, 4), (5, 3)]
 
@@ -141,8 +142,8 @@ def test_reduction_entries_homogeneous_of_band_degree(N, M):
             if i == 0:
                 assert p == ExactPoly.const(1)
             elif p:
-                assert p.is_homogeneous(N, M)
-                assert p.degree(N, M) == i
+                assert is_homogeneous(p, N, M)
+                assert degree(p, N, M) == i
 
 
 @pytest.mark.parametrize("N", [3, 5])

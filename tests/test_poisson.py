@@ -13,7 +13,6 @@ from dkp.poisson import (
     BracketTable,
     ab_generators,
     bracket1_c,
-    bracket1_c_literal,
     bracket1_c_pair,
     bracket2_AB,
     bracket2_c,
@@ -30,6 +29,7 @@ from dkp.poisson import (
 )
 from dkp.symalg import ALPHA, BETA, ExactPoly, gen_A, gen_B, gen_c, poly_sum
 from poisson_oracle import (
+    bracket1_c_literal,
     bracket_extend,
     first_bracket_degree_obstruction,
     first_flow_rhs_AB,
@@ -37,6 +37,7 @@ from poisson_oracle import (
     verify_bracrel,
     verify_degree_of_bracket,
 )
+from symalg_oracle import variables
 
 TORI = [(3, 2), (5, 2), (4, 3)]
 
@@ -186,8 +187,8 @@ def _bracket_by_definition(t, f, g):
     """sum_{a,b} df/da * dg/db * {a, b}, with ExactPoly alone."""
     return poly_sum(
         f.partial(a) * g.partial(b) * t.entry(a, b)
-        for a in sorted(f.variables())
-        for b in sorted(g.variables())
+        for a in sorted(variables(f))
+        for b in sorted(variables(g))
     )
 
 
@@ -330,7 +331,21 @@ class TestInducedBracket:
 # ------------------------------------------------------------------- bracket1
 
 
+# N > M, N < M and M = 1 shapes, up to 1,764 ordered pairs on (7,3)
+BRACKET1_TORI = [
+    (1, 1), (2, 1), (3, 1), (1, 2), (3, 2), (2, 3), (5, 2),
+    (4, 3), (3, 4), (5, 3), (7, 2), (5, 4), (4, 5), (7, 3),
+]
+
+
 class TestBracket1:
+    @pytest.mark.parametrize("N,M", BRACKET1_TORI)
+    def test_closed_form_matches_the_trace_formula(self, N, M):
+        gens = [(i, k) for i in range(1, 2 * M + 1) for k in range(N)]
+        for g1, g2 in itertools.product(gens, repeat=2):
+            literal = bracket1_c_literal(N, M, g1, g2) * BRACKET1_SIGN
+            assert bracket1_c_pair(N, M, g1, g2) == literal, (g1, g2)
+
     @pytest.mark.parametrize("N", [3, 4])
     def test_single_layer_classical_values(self, N):
         # band variables carry c_1 = -A, c_2 = -B, so the classical

@@ -177,21 +177,60 @@ def _roots(modules: dict[str, ast.Module]) -> set[str]:
     return roots
 
 
+def _is_method(node: ast.AST) -> bool:
+    """A non-dunder function in a class body."""
+    return isinstance(node, ast.FunctionDef) and not (
+        node.name.startswith("__") and node.name.endswith("__")
+    )
+
+
+def _units(modules: dict[str, ast.Module]) -> dict[str, list[ast.AST]]:
+    """Name -> the code that naming it runs: each top-level definition, with
+    each non-dunder method split off its class under the method's own name."""
+    units: dict[str, list[ast.AST]] = {}
+    for tree in modules.values():
+        for node in _definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                units.setdefault(node.name, []).extend(
+                    n for n in node.body + node.bases + node.decorator_list if not _is_method(n)
+                )
+                for n in filter(_is_method, node.body):
+                    units.setdefault(n.name, []).append(n)
+            else:
+                units.setdefault(node.name, []).append(node)
+    return units
+
+
+def _reached(units: dict[str, list[ast.AST]], seeds: set[str]) -> set[str]:
+    """The seeds and every name a reached unit names, to a fixed point."""
+    reached = set(seeds)
+    frontier = list(reached)
+    while frontier:
+        for node in units.get(frontier.pop(), ()):
+            new = _references(node) - reached
+            reached |= new
+            frontier.extend(new)
+    return reached
+
+
+def _benchmark_names() -> set[str]:
+    """Every attribute and string constant in the benchmark tools; the trace
+    wraps ``ExactPoly`` methods named in strings (``EXACTPOLY_METHODS``)."""
+    names: set[str] = set()
+    for path in sorted((SRC.parents[1] / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
 def test_every_top_level_definition_is_reachable_from_a_root():
     # A definition is reached when a root or a reached definition names it;
     # one that only tests or only unreached code name belongs beside its tests.
     modules = _modules()
-    bodies: dict[str, list[ast.AST]] = {}
-    for tree in modules.values():
-        for node in _definitions(tree):
-            bodies.setdefault(node.name, []).append(node)
-    reached = _roots(modules)
-    frontier = list(reached)
-    while frontier:
-        for node in bodies.get(frontier.pop(), ()):
-            new = _references(node) - reached
-            reached |= new
-            frontier.extend(new)
+    reached = _reached(_units(modules), _roots(modules))
     unreachable = [
         f"{name}.{node.name}"
         for name, tree in modules.items()
@@ -199,3 +238,21 @@ def test_every_top_level_definition_is_reachable_from_a_root():
         if node.name not in reached
     ]
     assert unreachable == []
+
+
+def test_every_method_is_named_by_reached_code_or_the_benchmark():
+    # The same walk, with the benchmark's attribute names and string
+    # constants as further roots.  Matching is by name only, so a method
+    # whose name other code also uses (``ExactPoly.degree`` against
+    # ``cfg.degree``) stays out of sight of this guard.
+    modules = _modules()
+    reached = _reached(_units(modules), _roots(modules) | _benchmark_names())
+    unreached = [
+        f"{name}.{cls.name}.{node.name}"
+        for name, tree in modules.items()
+        for cls in _definitions(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in filter(_is_method, cls.body)
+        if node.name not in reached
+    ]
+    assert unreached == []
