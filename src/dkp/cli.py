@@ -18,12 +18,9 @@ not given out of the namespace, so the field default applies.
 
 Each command imports only the layers it runs, inside its handler: ``check``
 imports ``poisson`` (which brings in ``curve``), ``curve`` imports ``curve``
-(and the numpy layer ``flows`` only with ``--numeric``), ``flow`` imports
-``flows`` and ``pipes`` imports ``pipes``.  ``--version``, ``--help``, usage
-errors and configuration errors load no algebra layer, and only ``flow`` and
-``curve --numeric`` import numpy.  Before any numpy layer is imported, the
-CLI sets ``OPENBLAS_NUM_THREADS=1`` unless the caller has set it: no command
-calls BLAS, so numpy starts no OpenBLAS worker pool.
+(and ``flows`` only with ``--numeric``), ``flow`` imports ``flows`` and
+``pipes`` imports ``pipes``.  ``--version``, ``--help``, usage errors and
+configuration errors load no algebra layer, and no command imports numpy.
 
 ``run`` is the process entry point (``dkp`` and ``python -m dkp.cli``): it
 calls ``main``, flushes stdout and stderr, and ends the process with
@@ -34,21 +31,11 @@ what in-process callers use.
 
 from __future__ import annotations
 
-import os
-
-# Every command is single-threaded, and none calls BLAS: the CLI flows use
-# take, bincount and elementwise ops.  Yet numpy starts OpenBLAS's worker pool
-# on import, which costs flow CPU time for nothing.  flow and curve --numeric,
-# the only commands that import numpy, import their numpy layer inside the
-# subcommand, after this line; a caller's explicit setting still wins.
-# The line stays out of dkp/__init__.py: importing a library must not change
-# its caller's environment.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 import argparse
 import errno
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -204,16 +191,19 @@ def _load_state(path: str, N: int, M: int):
     if type(t) not in (int, float) or not abs(t) <= sys.float_info.max:
         raise ValueError(f"state file {path}: t must be a finite number, got {t!r}")
     for key in ("A", "B"):
-        stack = [data[key]]
-        while stack:  # every leaf of the nested lists, without recursion
-            value = stack.pop()
-            if isinstance(value, list):
-                stack.extend(reversed(value))
-            elif type(value) not in (int, float):
+        # the layout state_final writes: M rows of N numbers
+        shape = f"state file {path}: {key} must be {M} rows of {N} numbers"
+        rows = data[key]
+        if type(rows) is not list or len(rows) != M or any(type(row) is not list or len(row) != N for row in rows):
+            raise ValueError(shape)
+        for value in (v for row in rows for v in row):
+            if type(value) is list:
+                raise ValueError(shape)
+            if type(value) not in (int, float):
                 raise ValueError(f"state file {path}: {key} entries must be numbers, got {value!r}")
     try:
         return KPStateNumeric(N, M, data["A"], data["B"], float(t))
-    except Exception as exc:
+    except (ValueError, OverflowError) as exc:  # a non-finite entry, an int past float range
         raise ValueError(f"state file {path} is not a valid state: {exc}") from None
 
 

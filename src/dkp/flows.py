@@ -1,27 +1,40 @@
 """Numeric hierarchy flows and conservation-drift monitoring.
 
-Flows run on double-precision A, B arrays.  The conserved quantities come
-from the band curve, never from the A,B determinant: the block row
-reduction x -> c(x) to the level-1 band entries is a ring homomorphism, so
-each A,B ledger entry q_d is the band ledger entry Q_d with c replaced by
-c(x).  Two independent right-side routes exist: the first flow evaluated
-directly from the sign-table evolution equations, and any ledger flow d
-obtained by pulling Q_d back exactly to A, B (``poisson.pullback``),
-taking its gradient once, and reading its Hamiltonian field {g, q_d}_2 at
-every one of the 2NM generators g (``BracketTable._field_into``), compiled
-once per (N, M, d) into one stacked factor table (for d = 1 the two routes
-agree to machine precision, which the tests pin).  Integration is
-fixed-step classical RK4 for reproducible drift numbers; the whole ledger is
-evaluated per step as two stacked tables, state -> c(x) -> Q(c(x)), and each
-quantity's maximal relative drift reported.
+Flows run on double-precision A, B states held as Python floats.  The
+conserved quantities come from the band curve, never from the A,B
+determinant: the block row reduction x -> c(x) to the level-1 band entries
+is a ring homomorphism, so each A,B ledger entry q_d is the band ledger
+entry Q_d with c replaced by c(x).  Two independent right-side routes exist:
+the first flow evaluated directly from the sign-table evolution equations,
+and any ledger flow d obtained by pulling Q_d back exactly to A, B
+(``poisson.pullback``), taking its gradient once, and reading its
+Hamiltonian field {g, q_d}_2 at every one of the 2NM generators g
+(``BracketTable._field_into``), compiled once per (N, M, d) into one
+evaluator (for d = 1 the two routes agree to machine precision, which the
+tests pin).  Integration is fixed-step classical RK4 for reproducible drift
+numbers; the whole ledger is evaluated per step as two compiled evaluators,
+state -> c(x) -> Q(c(x)), and each quantity's maximal relative drift
+reported.
+
+The evaluators are straight-line Python code, generated once per polynomial
+list.  A state has only 2NM entries, and on a short flow importing numpy
+(about 0.19 s) costs more than the arithmetic it would speed up; per step,
+Python floats cost a few times what numpy arrays do, so a long flow on a
+large torus is the slower for it.  The order of operations is what keeps
+the report bytes fixed: each term is its coefficient times its factors,
+multiplied left to right, each polynomial is summed from 0.0 in the order of
+its rows, and RK4 combines the stages elementwise in numpy's order.  The
+seeded initial state comes from a port of numpy's ``SeedSequence``, PCG64
+generator and ``uniform``, so it is the one ``default_rng(seed)`` draws, bit
+for bit.  Only the first-flow route, the reference the tests and the
+benchmark compare against, imports numpy, inside its functions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
 
 from dkp.curve import band_curve
 from dkp.lattice import level_entries
@@ -29,45 +42,118 @@ from dkp.poisson import ab_generators, bracket2_AB, pullback
 from dkp.symalg import ExactPoly, Gen
 from dkp.torus import _require_torus, build_kappa, build_rho
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence(seed: int) -> tuple[int, int]:
+    """numpy's ``SeedSequence(seed).generate_state(4, uint64)`` as PCG64 reads
+    it: the 128-bit initial state (words 0, 1) and stream (words 2, 3)."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    entropy = []
+    while True:  # 32-bit words, least significant first; 0 is one word
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    # pairs of 32-bit words, low word first, make the 64-bit words
+    w = [words[2 * i] | words[2 * i + 1] << 32 for i in range(4)]
+    return w[0] << 64 | w[1], w[2] << 64 | w[3]
+
+
+def _uniform(seed: int, count: int, low: float, high: float) -> list[float]:
+    """``np.random.default_rng(seed).uniform(low, high, count)``, bit for bit:
+    PCG64 (128-bit LCG, XSL-RR output) and numpy's 53-bit doubles."""
+    initial, stream = _seed_sequence(seed)
+    inc = (stream << 1 | 1) & _MASK128
+    # seeding: one step from state 0 (which lands on inc), add initial, step
+    state = ((inc + initial) * _PCG64_MULTIPLIER + inc) & _MASK128
+    width, out = high - low, []
+    for _ in range(count):
+        state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
+        word, rot = (state >> 64) ^ (state & _MASK64), state >> 122
+        word = (word >> rot | word << (64 - rot)) & _MASK64
+        out.append(low + width * ((word >> 11) * (1.0 / 9007199254740992.0)))
+    return out
+
+
+def _rows(values, N: int, M: int) -> list[list[float]]:
+    """values (M rows of N numbers) as lists of floats."""
+    rows = [[float(v) for v in row] for row in values]
+    if [len(row) for row in rows] != [N] * M:
+        raise ValueError(f"A and B must each be {M} rows of {N} numbers")
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise ValueError("state entries must be finite")
+    return rows
+
 
 @dataclass
 class KPStateNumeric:
-    """Double-precision phase-space point: A[m][n], B[m][n], time t."""
+    """Double-precision phase-space point: A[m][n], B[m][n] as M rows of N
+    floats, and time t."""
 
     N: int
     M: int
-    A: np.ndarray
-    B: np.ndarray
+    A: list[list[float]]
+    B: list[list[float]]
     t: float = 0.0
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float).reshape(self.M, self.N)
-        self.B = np.asarray(self.B, dtype=float).reshape(self.M, self.N)
-        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.B))):
-            raise ValueError("state entries must be finite")
+        self.A = _rows(self.A, self.N, self.M)
+        self.B = _rows(self.B, self.N, self.M)
 
     @classmethod
     def random(cls, N: int, M: int, seed: int, low: float = 0.5, high: float = 1.5):
+        """A and then B uniform in [low, high): the state
+        ``np.random.default_rng(seed).uniform(low, high, (M, N))`` draws."""
         _require_torus(N, M)
-        rng = np.random.default_rng(seed)
-        return cls(
-            N, M, rng.uniform(low, high, (M, N)), rng.uniform(low, high, (M, N))
-        )
+        return cls.from_flat(N, M, _uniform(seed, 2 * N * M, low, high))
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.A.ravel(), self.B.ravel()])
+    def flat(self) -> list[float]:
+        return [v for rows in (self.A, self.B) for row in rows for v in row]
 
     @classmethod
-    def from_flat(cls, N: int, M: int, flat: np.ndarray, t: float = 0.0):
-        return cls(N, M, flat[: N * M], flat[N * M :], t)
+    def from_flat(cls, N: int, M: int, flat, t: float = 0.0):
+        rows = [flat[i : i + N] for i in range(0, 2 * N * M, N)]
+        return cls(N, M, rows[:M], rows[M:], t)
 
     def to_jsonable(self) -> dict:
         return {
             "N": self.N,
             "M": self.M,
             "t": self.t,
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
+            "A": [list(row) for row in self.A],
+            "B": [list(row) for row in self.B],
         }
 
 
@@ -77,48 +163,69 @@ def state_index(N: int, M: int) -> dict[Gen, int]:
     return {g: i for i, g in enumerate(ab_generators(N, M))}
 
 
-class CompiledPoly:
-    """Stacked evaluation of a list of polynomials on flat states.
+# Terms per statement of a generated sum: CPython compiles a long chain of
+# additions recursively, and a single sum of a few thousand terms overflows
+# its recursion limit.
+_TERMS_PER_LINE = 100
 
-    A monomial is its run of factors, each an index into the flat state
-    (g**k is k factors g).  The monomials are stored widest first, so factor
-    j of every monomial with more than j factors is the prefix column
-    ``columns[j]``.  A call starts from the coefficients, multiplies the
-    columns in, and sums each monomial into its polynomial (``owner``); a
-    polynomial with no terms comes out as 0.
+
+class CompiledPoly:
+    """Evaluation of a list of polynomials on flat states, compiled once.
+
+    A row is one monomial: its run of factors, each an index into the flat
+    state (g**k is k factors g), its polynomial and its coefficient.  The
+    rows are kept widest first (a stable sort), and compiled into one
+    straight-line function that multiplies each term out left to right
+    from its coefficient and sums each polynomial from 0.0 in row order.
+    A call takes a sequence of the state's floats and returns a list of
+    floats, one per polynomial; a polynomial with no terms comes out as 0.0.
     """
 
-    __slots__ = ("columns", "owner", "coeffs", "count")
+    __slots__ = ("rows", "_fn")
 
     def __init__(self, polys: list[ExactPoly], index: dict[Gen, int]):
         rows = [
-            ([index[g] for g, k in mono for _ in range(k)], i, float(q))
+            (tuple(index[g] for g, k in mono for _ in range(k)), i, float(q))
             for i, poly in enumerate(polys)
             for mono, q in poly.terms.items()
         ]
         rows.sort(key=lambda row: -len(row[0]))
-        width = len(rows[0][0]) if rows else 0
-        self.columns = [
-            np.array([f[j] for f, _, _ in rows if len(f) > j], dtype=np.intp)
-            for j in range(width)
-        ]
-        self.owner = np.array([i for _, i, _ in rows], dtype=np.intp)
-        self.coeffs = np.array([q for _, _, q in rows], dtype=float)
-        self.count = len(polys)
+        self.rows = rows
+        self._fn = _compile(rows, len(polys), len(index))
 
-    def __call__(self, flat: np.ndarray) -> np.ndarray:
-        terms = self.coeffs.copy()
-        for column in self.columns:
-            terms[: len(column)] *= flat.take(column)
-        sums = np.bincount(self.owner, terms, minlength=self.count)
-        return sums.astype(float, copy=False)  # bincount of no weights is int64
+    def __call__(self, flat) -> list[float]:
+        return self._fn(flat)
+
+
+def _compile(rows, count: int, size: int):
+    """The function of a flat state of `size` floats that `rows` describe.
+
+    A coefficient of magnitude 1 is left out of its product and a negative
+    one becomes a subtraction: (-c*x)*y is -(c*x*y) and s + -p is s - p,
+    exactly, so the values are those of the full products.
+    """
+    terms: list[list[str]] = [[] for _ in range(count)]
+    for factors, owner, q in rows:
+        c = abs(q)
+        product = [repr(c)] if c != 1.0 or not factors else []
+        product += [f"x{i}" for i in factors]
+        terms[owner].append(("- " if math.copysign(1.0, q) < 0 else "+ ") + "*".join(product))
+    lines = ["def compiled(x):", "    " + "".join(f"x{i}, " for i in range(size)) + "= x"]
+    for i, line in enumerate(terms):
+        for j in range(0, len(line), _TERMS_PER_LINE):
+            start = "0.0" if j == 0 else f"s{i}"
+            lines.append(f"    s{i} = {start} " + " ".join(line[j : j + _TERMS_PER_LINE]))
+    lines.append("    return [" + ", ".join(f"s{i}" if t else "0.0" for i, t in enumerate(terms)) + "]")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<CompiledPoly>", "exec"), namespace)
+    return namespace["compiled"]
 
 
 @lru_cache(maxsize=None)
 def _compiled_ledger(N: int, M: int):
     """Flat state -> every ledger quantity, in the order of ``curve.degrees()``.
 
-    Two stacked evaluations: the state to the level-1 band entries c(x),
+    Two compiled evaluations: the state to the level-1 band entries c(x),
     then the band ledger at c(x).
     """
     band = level_entries(N, M, 1)
@@ -151,11 +258,14 @@ def _compiled_flow(N: int, M: int, degree: int) -> CompiledPoly:
 
 
 @lru_cache(maxsize=None)
-def _first_flow_tables(N: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kappa and rho circulants over the flat index m*N + n.
+def _first_flow_tables(N: int, M: int):
+    """The kappa and rho circulants over the flat index m*N + n, as numpy
+    arrays.
 
     Entry [s, t] is kappa (rho) at the torus offset from site s to site t.
     """
+    import numpy as np
+
     site = np.arange(N * M)
     dn = (site[None, :] % N - site[:, None] % N) % N
     dm = (site[None, :] // N - site[:, None] // N) % M
@@ -164,28 +274,37 @@ def _first_flow_tables(N: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     return kt[dm, dn], rt[dm, dn]
 
 
-def _first_flow_flat(N: int, M: int, flat: np.ndarray) -> np.ndarray:
-    """The first flow, straight from the evolution equations (no bracket):
+def _first_flow_flat(N: int, M: int, flat):
+    """The first flow, straight from the evolution equations (no bracket),
+    as a numpy array:
     dA(n,m) = B(n,m) - B(n+1,m) + (sum_{k,l} kappa(k-n, l-m) A(k,l)) A(n,m)
     dB(n,m) = (sum_{k,l} rho(k-n, l-m) A(k,l)) B(n,m)
     """
+    import numpy as np
+
+    flat = np.asarray(flat, dtype=float)
     A, B = flat[: N * M], flat[N * M :]
     K, R = _first_flow_tables(N, M)
     B_next = np.roll(B.reshape(M, N), -1, axis=1).ravel()
-    return np.concatenate([B - B_next + (K @ A) * A, (R @ A) * B])
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported, not warned about
+        return np.concatenate([B - B_next + (K @ A) * A, (R @ A) * B])
 
 
 def _rhs_fn(N: int, M: int, flow):
-    """Flat-array tangent evaluator for "first" or a ledger degree."""
+    """Flat-state tangent evaluator for "first" or a ledger degree: a list
+    of floats in, a list of floats out."""
     if flow == "first":
-        return lambda flat: _first_flow_flat(N, M, flat)
+        return lambda flat: _first_flow_flat(N, M, flat).tolist()
     return _compiled_flow(N, M, int(flow))
 
 
-def flow_rhs(degree, state: KPStateNumeric) -> np.ndarray:
-    """Tangent vector of flow `degree` ("first" or a ledger degree) at state."""
+def flow_rhs(degree, state: KPStateNumeric):
+    """Tangent vector of flow `degree` ("first" or a ledger degree) at
+    state, as a numpy array."""
+    import numpy as np
+
     _require_torus(state.N, state.M)
-    return _rhs_fn(state.N, state.M, degree)(state.flat())
+    return np.asarray(_rhs_fn(state.N, state.M, degree)(state.flat()))
 
 
 @dataclass
@@ -219,7 +338,6 @@ class FlowBlowup(FloatingPointError):
         self.result = result
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     state: KPStateNumeric,
     flow,
@@ -229,9 +347,11 @@ def integrate(
 ) -> IntegrationResult:
     """Fixed-step RK4 with per-step evaluation of every ledger quantity.
 
-    `flow` is "first" or a ledger degree.  Raises FlowBlowup, without numpy
-    warnings, when a step leaves the finite range.  Relative drift of q_d
-    uses |q_d(0)| as the scale (floored at 1e-12).
+    `flow` is "first" or a ledger degree.  Raises FlowBlowup when a step
+    leaves the finite range.  Relative drift of q_d uses |q_d(0)| as the
+    scale (floored at 1e-12).  The arithmetic is elementwise, in the order
+    numpy's array expressions ``x + (0.5*dt)*k`` and
+    ``x + (dt/6.0)*(k1 + 2*k2 + 2*k3 + k4)`` take it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -243,18 +363,19 @@ def integrate(
     rhs = _rhs_fn(N, M, flow)
     flat = state.flat()
     q0 = ledger(flat)
-    drift = np.zeros_like(q0)
-    scale = np.maximum(np.abs(q0), 1e-12)
+    drift = [0.0] * len(q0)
+    scale = [max(abs(q), 1e-12) for q in q0]
     steps = int(round(T / dt))
+    half, sixth = 0.5 * dt, dt / 6.0
     trajectory: list[dict] = []
 
-    def snap(i: int, f: np.ndarray):
+    def snap(i: int, f: list[float]):
         trajectory.append(
             {"t": state.t + i * dt, "state": KPStateNumeric.from_flat(N, M, f).to_jsonable()}
         )
 
-    def by_degree(values: np.ndarray) -> dict[int, float]:
-        return dict(zip(degrees, values.tolist()))
+    def by_degree(values: list[float]) -> dict[int, float]:
+        return dict(zip(degrees, values))
 
     def result(done: int, blowup: dict | None = None) -> IntegrationResult:
         final = KPStateNumeric.from_flat(N, M, flat, state.t + done * dt)
@@ -267,16 +388,21 @@ def integrate(
         snap(0, flat)
     for i in range(1, steps + 1):
         k1 = rhs(flat)
-        k2 = rhs(flat + 0.5 * dt * k1)
-        k3 = rhs(flat + 0.5 * dt * k2)
-        k4 = rhs(flat + dt * k3)
-        step = flat + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(step)):
-            blowup = {"step": i, "t": state.t + i * dt, "max_abs_state": float(np.max(np.abs(flat)))}
+        k2 = rhs([x + half * k for x, k in zip(flat, k1)])
+        k3 = rhs([x + half * k for x, k in zip(flat, k2)])
+        k4 = rhs([x + dt * k for x, k in zip(flat, k3)])
+        step = [
+            x + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for x, a, b, c, d in zip(flat, k1, k2, k3, k4)
+        ]
+        if not all(map(math.isfinite, step)):
+            blowup = {"step": i, "t": state.t + i * dt, "max_abs_state": max(map(abs, flat))}
             raise FlowBlowup(result(i - 1, blowup))
         flat = step
-        # fmax, not maximum: a NaN value leaves the drift so far in place
-        drift = np.fmax(drift, np.abs(ledger(flat) - q0) / scale)
+        for j, q in enumerate(ledger(flat)):
+            change = abs(q - q0[j]) / scale[j]
+            if change > drift[j]:  # never for a NaN: the drift so far stays, as np.fmax keeps it
+                drift[j] = change
         if record_every and (i % record_every == 0 or i == steps):
             snap(i, flat)
     return result(steps)

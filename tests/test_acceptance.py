@@ -457,7 +457,7 @@ def test_ac11_flow_conservation(capsys):
     t0 = time.perf_counter()
     seed = 20260817
     state = KPStateNumeric.random(3, 2, seed=seed)
-    assert float(state.flat().min()) >= 0.5 and float(state.flat().max()) <= 1.5
+    assert min(state.flat()) >= 0.5 and max(state.flat()) <= 1.5
     full = integrate(state, "first", dt=1e-3, T=1.0)
     half = integrate(KPStateNumeric.random(3, 2, seed=seed), "first", dt=5e-4, T=1.0)
     d_star = max(full.drift, key=full.drift.get)

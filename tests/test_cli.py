@@ -196,6 +196,25 @@ class TestStateFile:
         assert report is None
         assert err == f"error: state file {path}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("A", [[1.0, 1.0], [1.1, 1.0], [1.2, 1.0]]),  # transposed: 3 rows of 2
+            ("A", [1.0, 1.1, 1.2, 1.0, 1.0, 1.0]),  # flat
+            ("A", [[[1], [1.1], [1.2]], [[1], [1], [1]]]),  # one level too deep
+            ("B", [[1.0] * 3, [1.0] * 2]),  # ragged
+            ("B", [[1.0] * 3]),  # one row
+            ("B", {"0": [1.0] * 3, "1": [1.0] * 3}),
+        ],
+        ids=["transposed", "flat", "deep", "ragged", "one-row", "object"],
+    )
+    def test_wrong_shape_is_a_config_error_naming_the_shape(self, capsys, tmp_path, field, value):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({**self.GOOD, field: value}))
+        code, report, err = run_cli(capsys, "flow", "--N", "3", "--M", "2", "--T", "0.01", "--state", str(path))
+        assert (code, report) == (2, None)
+        assert err == f"error: state file {path}: {field} must be 2 rows of 3 numbers\n"
+
     def test_too_deeply_nested_file_is_a_config_error(self, capsys, tmp_path):
         path = tmp_path / "state.json"
         path.write_text('{"N": 3, "M": 2, "A": ' + "[" * 100_000 + "]" * 100_000 + ', "B": []}')
@@ -471,12 +490,17 @@ def test_module_invocation():
 
 
 def test_check_and_curve_do_not_import_numpy(tmp_path):
-    # only flow and curve --numeric use the numpy layers
+    # nor do flow and curve --numeric: the flows run on Python floats
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(TestStateFile.GOOD))
     script = (
         "import sys\n"
         "from dkp.cli import main\n"
         f"assert main(['check', '--N', '3', '--M', '2', '--out', {str(tmp_path / 'check.json')!r}]) == 0\n"
         f"assert main(['curve', '--N', '3', '--M', '2', '--out', {str(tmp_path / 'curve.json')!r}]) == 0\n"
+        f"assert main(['flow', '--N', '3', '--M', '2', '--T', '0.01', '--out', {str(tmp_path / 'flow.json')!r}]) == 0\n"
+        f"assert main(['curve', '--N', '3', '--M', '2', '--numeric', {str(state)!r},"
+        f" '--out', {str(tmp_path / 'numeric.json')!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )
     proc = subprocess.run(
@@ -517,8 +541,8 @@ def _python(args: list[str], openblas: str | None) -> str:
 
 
 class TestBlasPin:
-    """The CLI starts numpy with one OpenBLAS thread unless the caller set
-    OPENBLAS_NUM_THREADS; importing the library changes no environment."""
+    """No command starts an OpenBLAS thread pool, since none imports numpy,
+    and importing the library changes no environment."""
 
     def _after_main(self, tmp_path, argv: list[str], openblas: str | None, then: str) -> str:
         script = (
@@ -529,16 +553,7 @@ class TestBlasPin:
         )
         return _python(["-c", script], openblas).strip()
 
-    PIPES = ["pipes", "--N", "3", "--M", "2"]
     FLOW = ["flow", "--N", "3", "--M", "2", "--T", "0.01"]
-
-    def test_cli_sets_one_thread(self, tmp_path):
-        got = self._after_main(tmp_path, self.PIPES, None, "os.environ.get('OPENBLAS_NUM_THREADS')")
-        assert got == "1"
-
-    def test_explicit_setting_wins(self, tmp_path):
-        got = self._after_main(tmp_path, self.PIPES, "2", "os.environ.get('OPENBLAS_NUM_THREADS')")
-        assert got == "2"
 
     def test_library_import_leaves_the_environment(self):
         script = (
@@ -603,6 +618,14 @@ class TestImportSets:
         assert pipes == "['dkp', 'dkp.cli', 'dkp.curve', 'dkp.lattice', 'dkp.pipes', 'dkp.symalg', 'dkp.torus']"
         plain_curve = _dkp_modules_after(["curve", "--N", "3", "--M", "2", "--out", out])
         assert plain_curve == "['dkp', 'dkp.cli', 'dkp.curve', 'dkp.lattice', 'dkp.symalg', 'dkp.torus']"
+
+    def test_flow_and_numeric_curve_leave_numpy_out(self, tmp_path):
+        out = str(tmp_path / "report.json")
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(TestStateFile.GOOD))
+        layers = "['dkp', 'dkp.cli', 'dkp.curve', 'dkp.flows', 'dkp.lattice', 'dkp.poisson', 'dkp.symalg', 'dkp.torus']"
+        assert _dkp_modules_after(["flow", "--N", "3", "--M", "2", "--T", "0.01", "--out", out]) == layers
+        assert _dkp_modules_after(["curve", "--N", "3", "--M", "2", "--numeric", str(state), "--out", out]) == layers
 
 
 def _dkp_process(argv: list[str], **kwargs) -> subprocess.CompletedProcess:

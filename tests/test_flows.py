@@ -1,6 +1,7 @@
 """Numeric flow integration and conservation drift."""
 
 import inspect
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import poisson_oracle as oracle
+from flows_oracle import ColumnPoly
 from dkp import curve as curve_module
 from dkp import flows
 from dkp.curve import band_curve, compute_curve
@@ -24,25 +26,35 @@ from dkp.symalg import ExactPoly, gen_A, gen_B
 
 
 def zero_state(N: int, M: int) -> KPStateNumeric:
-    return KPStateNumeric(N, M, np.zeros((M, N)), np.zeros((M, N)))
+    return KPStateNumeric(N, M, [[0.0] * N] * M, [[0.0] * N] * M)
 
 
 class TestState:
     def test_random_in_range_and_deterministic(self):
         s1 = KPStateNumeric.random(3, 2, seed=5)
         s2 = KPStateNumeric.random(3, 2, seed=5)
-        assert np.array_equal(s1.A, s2.A) and np.array_equal(s1.B, s2.B)
-        assert s1.A.shape == (2, 3) and s1.B.shape == (2, 3)
-        assert np.all((0.5 <= s1.A) & (s1.A <= 1.5))
+        assert s1.A == s2.A and s1.B == s2.B
+        for rows in (s1.A, s1.B):
+            assert [len(row) for row in rows] == [3, 3]
+            assert all(type(v) is float and 0.5 <= v <= 1.5 for row in rows for v in row)
 
     def test_flat_roundtrip(self):
         s = KPStateNumeric.random(3, 2, seed=1)
         r = KPStateNumeric.from_flat(3, 2, s.flat())
-        assert np.array_equal(r.A, s.A) and np.array_equal(r.B, s.B)
+        assert r.A == s.A and r.B == s.B
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            KPStateNumeric(2, 1, np.array([[1.0, np.inf]]), np.zeros((1, 2)))
+            KPStateNumeric(2, 1, [[1.0, math.inf]], [[0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "A",
+        [[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [[1.0, 2.0, 3.0], [4.0, 5.0]], [[1.0, 2.0, 3.0]]],
+        ids=["transposed", "ragged", "one-row"],
+    )
+    def test_wrong_shape_rejected(self, A):
+        with pytest.raises(ValueError, match="must each be 2 rows of 3 numbers"):
+            KPStateNumeric(3, 2, A, [[1.0] * 3] * 2)
 
     def test_compiled_poly_matches_exact_evaluation(self):
         idx = state_index(3, 2)
@@ -80,8 +92,8 @@ class TestStackedEvaluation:
         idx = state_index(N, M)
         gens = sorted(idx, key=idx.get)
         rng = np.random.default_rng(seed)
-        flat = rng.uniform(0.5, 1.5, 2 * N * M)
-        values = {g: float(flat[i]) for g, i in idx.items()}
+        flat = rng.uniform(0.5, 1.5, 2 * N * M).tolist()
+        values = {g: flat[i] for g, i in idx.items()}
         # few generators, so each recurs across monomials and polynomials
         a, b = ExactPoly.var(gens[0]), ExactPoly.var(gens[7])
         polys = [
@@ -93,7 +105,7 @@ class TestStackedEvaluation:
         ]
         assert max(k for p in polys for mono in p.terms for _, k in mono) == 4
         got = CompiledPoly(polys, idx)(flat)
-        assert got.shape == (len(polys),) and got.dtype == float
+        assert len(got) == len(polys) and all(type(v) is float for v in got)
         for p, value in zip(polys, got):
             want = float(p.evaluate(values))
             # relative to the sum of the term magnitudes, which bounds the roundoff
@@ -103,8 +115,8 @@ class TestStackedEvaluation:
 
     def test_all_zero_family(self):
         idx = state_index(3, 2)
-        got = CompiledPoly([ExactPoly.zero()] * 4, idx)(np.ones(12))
-        assert got.dtype == float and np.array_equal(got, np.zeros(4))
+        got = CompiledPoly([ExactPoly.zero()] * 4, idx)([1.0] * 12)
+        assert got == [0.0] * 4 and all(type(v) is float for v in got)
 
 
 class TestLedgerDrift:
@@ -142,12 +154,12 @@ class TestLedgerDrift:
             # call 1 is q(0), calls 2-4 are steps 1-3, call 5 is q_final
             calls.append(None)
             values = ledger(flat)
-            return np.full_like(values, np.nan) if len(calls) == 4 else values
+            return [math.nan] * len(values) if len(calls) == 4 else values
 
         monkeypatch.setattr(flows, "_compiled_ledger", lambda N, M: third_step_nan)
         after = integrate(state, "first", 1e-2, 0.03)
         assert len(calls) == 5
-        assert all(np.isfinite(v) for v in after.drift.values())
+        assert all(math.isfinite(v) for v in after.drift.values())
         assert after.drift == before.drift
         assert after.max_drift > 0
 
@@ -212,12 +224,9 @@ class TestBandRoute:
 
 
 def _compiled_terms(compiled: CompiledPoly) -> dict:
-    """(row, sorted state indices of the factors) -> coefficient, read back
-    from the prefix columns of a CompiledPoly."""
-    return {
-        (row, tuple(sorted(int(col[r]) for col in compiled.columns if len(col) > r))): q
-        for r, (row, q) in enumerate(zip(compiled.owner.tolist(), compiled.coeffs.tolist()))
-    }
+    """(polynomial, sorted state indices of the factors) -> coefficient, read
+    back from the rows of a CompiledPoly."""
+    return {(owner, tuple(sorted(factors))): q for factors, owner, q in compiled.rows}
 
 
 class TestCompiledFlow:
@@ -252,6 +261,76 @@ class TestCompiledFlow:
         assert "bracket_extend" not in inspect.getsource(flows)
 
 
+ORACLE_TORI = [(3, 2), (4, 3), (5, 3), (7, 2), (5, 4), (7, 3)]
+
+
+class TestColumnOracle:
+    """The straight-line evaluators do the numpy column evaluator's
+    floating-point operations in its order, so their values are equal."""
+
+    @staticmethod
+    def _built(monkeypatch, build, *args) -> list[tuple[CompiledPoly, ColumnPoly]]:
+        """Each evaluator `build` compiles, beside the column evaluator of
+        the same polynomials."""
+        pairs = []
+
+        def recording(polys, index):
+            pairs.append((CompiledPoly(polys, index), ColumnPoly(polys, index)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(flows, "CompiledPoly", recording)
+        build.cache_clear()
+        build(*args)
+        return pairs
+
+    @pytest.mark.parametrize("N,M", ORACLE_TORI)
+    def test_ledger_tables(self, monkeypatch, N, M):
+        (entries, entries_oracle), (ledger, ledger_oracle) = self._built(
+            monkeypatch, flows._compiled_ledger, N, M
+        )
+        for seed in (0, 61):
+            flat = KPStateNumeric.random(N, M, seed).flat()
+            c = entries(flat)
+            assert c == entries_oracle(flat).tolist()
+            assert ledger(c) == ledger_oracle(c).tolist()
+
+    @pytest.mark.parametrize("N,M", ORACLE_TORI)
+    def test_degree_one_flow_table(self, monkeypatch, N, M):
+        ((rhs, rhs_oracle),) = self._built(monkeypatch, flows._compiled_flow, N, M, 1)
+        for seed in (0, 61):
+            flat = KPStateNumeric.random(N, M, seed).flat()
+            assert rhs(flat) == rhs_oracle(flat).tolist()
+
+
+class TestSeed:
+    """The seeded state is numpy's default_rng(seed).uniform(0.5, 1.5, (M, N)),
+    A and then B, bit for bit."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + [
+        int(s) for s in np.random.default_rng(20261019).integers(0, 2**64, 200, dtype=np.uint64)
+    ]
+
+    @pytest.mark.parametrize("N,M", [(3, 2), (4, 3), (5, 3)])
+    def test_matches_numpy_default_rng(self, N, M):
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            want_A = rng.uniform(0.5, 1.5, (M, N)).tolist()
+            want_B = rng.uniform(0.5, 1.5, (M, N)).tolist()
+            state = KPStateNumeric.random(N, M, seed)
+            assert (state.A, state.B) == (want_A, want_B), seed
+
+    def test_seeds_past_64_bits_match_too(self):
+        for seed in (2**64, 2**127 + 5, 3**200):
+            rng = np.random.default_rng(seed)
+            want = rng.uniform(0.5, 1.5, (2, 3)).tolist() + rng.uniform(0.5, 1.5, (2, 3)).tolist()
+            state = KPStateNumeric.random(3, 2, seed)
+            assert state.A + state.B == want, seed
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            KPStateNumeric.random(3, 2, -1)
+
+
 class TestFlowRHS:
     def test_single_layer_closed_form(self):
         # dA(n) = B(n) - B(n+1); dB(n) = (A(n) - A(n-1)) B(n)
@@ -273,7 +352,7 @@ class TestFlowRHS:
         for m in range(M):
             for n in range(N):
                 assert rhs[m * N + n] == pytest.approx(
-                    s.B[m, n] - s.B[m, (n + 1) % N]
+                    s.B[m][n] - s.B[m][(n + 1) % N]
                 )
                 assert rhs[N * M + m * N + n] == 0.0
 
@@ -329,7 +408,7 @@ class TestIntegration:
         ab = integrate(integrate(s0, 1, dt, T).state, 4, dt, T).state.flat()
         s0 = KPStateNumeric.random(3, 2, seed=seed)
         ba = integrate(integrate(s0, 4, dt, T).state, 1, dt, T).state.flat()
-        assert np.max(np.abs(ab - ba)) <= 1e-5
+        assert np.max(np.abs(np.subtract(ab, ba))) <= 1e-5
 
     def test_determinism(self):
         r1 = integrate(KPStateNumeric.random(3, 2, seed=4), "first", 1e-2, 0.3)
@@ -373,8 +452,8 @@ class TestIntegration:
         values = {}
         for m in range(2):
             for n in range(3):
-                values[gen_A(n, m)] = Fraction(s.A[m, n])
-                values[gen_B(n, m)] = Fraction(s.B[m, n])
+                values[gen_A(n, m)] = Fraction(s.A[m][n])
+                values[gen_B(n, m)] = Fraction(s.B[m][n])
         for d in curve.degrees():
             evaluated = curve.q(d).evaluate(values)
             exact = float(

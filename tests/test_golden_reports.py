@@ -1,5 +1,5 @@
-"""Golden reports: the exact bytes ``check --suite all``, ``curve`` and
-``pipes --pairings --sum-zero`` produce.
+"""Golden reports: the exact bytes ``check --suite all``, ``curve``,
+``pipes --pairings --sum-zero``, ``flow`` and ``curve --numeric`` produce.
 
 Each digest is the SHA-256 of the report with its top-level ``seed`` line
 removed (the rule of ``perfbench/gate.py``).  (4, 3) is a torus the
@@ -7,6 +7,7 @@ benchmark does not run, and neither is ``pipes`` on (5, 2).
 """
 
 import hashlib
+import json
 import re
 
 import pytest
@@ -37,10 +38,45 @@ GOLDEN_CURVE = {
 }
 
 
-def _digest(capsys, argv):
+# Recorded from the numpy evaluators, before the flows ran on Python floats:
+# the two flow commands of the benchmark at seed 61, a degree-2 run with a
+# trajectory, a degree-3 run that blows up (exit status 1), a (7, 3) run
+# whose ledger sums run past one statement, and the ledger values at a fixed
+# state.
+GOLDEN_FLOW = {
+    "flow --N 4 --M 3 --degree 1 --dt 1e-3 --T 1 --seed 61": (
+        0, "d485ddad4ab44b04b6af3d3a7167845a9bf6f06f053c36a10c5c84ce15cf1f6b"
+    ),
+    "flow --N 5 --M 3 --degree 1 --dt 1e-3 --T 0.5 --seed 61": (
+        0, "14432b5d4d7819a16ccc9ee8d7c6b06642dc308b50d99315407e2e442cf2d47b"
+    ),
+    "flow --N 3 --M 2 --degree 2 --dt 1e-2 --T 0.5 --record-every 7 --seed 3": (
+        0, "435ef3511391f716c3178d757bd2f1e80e0b428aa6a0413bf0484990f0b6a3a0"
+    ),
+    "flow --N 5 --M 2 --degree 3 --dt 1e-1 --T 20 --seed 3": (
+        1, "6c3d30f20cfd50d9519f153a8d9d4a348bd1879be6682cc90fd67a2df760c077"
+    ),
+    "flow --N 7 --M 3 --T 0.05 --seed 5": (
+        0, "90c092b7544cbf6bbb222d45ed741b68276b9d92e7a688e2741ddbe6f0911017"
+    ),
+    "curve --N 3 --M 2 --numeric STATE": (
+        0, "c475b3826af49d398a28258465d2b2f3022f561bba426d30f66b2e6042d87cd6"
+    ),
+}
+
+NUMERIC_STATE = {
+    "N": 3,
+    "M": 2,
+    "t": 0.0,
+    "A": [[0.75, 1.25, 0.5], [1.5, 1.0, 0.875]],
+    "B": [[1.125, 0.625, 1.375], [0.5, 1.0625, 0.9375]],
+}
+
+
+def _digest(capsys, argv, status=0):
     code = main(argv)
     report = capsys.readouterr().out.encode()
-    assert code == 0
+    assert code == status
     return hashlib.sha256(_SEED_LINE.sub(b"\n", report, count=1)).hexdigest()
 
 
@@ -60,3 +96,12 @@ def test_pipes_pairings_sum_zero_report_bytes(capsys, N, M):
 def test_curve_report_bytes(capsys, N, M):
     argv = ["curve", "--N", str(N), "--M", str(M)]
     assert _digest(capsys, argv) == GOLDEN_CURVE[(N, M)]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_FLOW))
+def test_flow_and_numeric_curve_report_bytes(capsys, tmp_path, command):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(NUMERIC_STATE))
+    status, digest = GOLDEN_FLOW[command]
+    argv = command.replace("STATE", str(state)).split()
+    assert _digest(capsys, argv, status) == digest
