@@ -38,7 +38,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn
 
@@ -130,14 +129,6 @@ def _check_report_path(path: str) -> None:
 # report plumbing
 
 
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, frozenset):
-        return sorted(obj)
-    raise TypeError(f"not JSON serializable: {obj!r}")
-
-
 def _finite_or_null(obj):
     """obj with every non-finite float replaced by None (JSON null)."""
     if isinstance(obj, float):
@@ -151,9 +142,7 @@ def _finite_or_null(obj):
 
 def _emit(report: dict, out: str | None) -> None:
     # Strict JSON: NaN and Infinity are not JSON tokens, so they raise here.
-    text = json.dumps(
-        report, indent=2, sort_keys=True, default=_json_default, allow_nan=False
-    ) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
     else:

@@ -26,8 +26,8 @@ multiplied left to right, each polynomial is summed from 0.0 in the order of
 its rows, and RK4 combines the stages elementwise in numpy's order.  The
 seeded initial state comes from a port of numpy's ``SeedSequence``, PCG64
 generator and ``uniform``, so it is the one ``default_rng(seed)`` draws, bit
-for bit.  Only the first-flow route, the reference the tests and the
-benchmark compare against, imports numpy, inside its functions.
+for bit.  Only ``flow_rhs`` imports numpy, to hand the benchmark's gate and
+the tests an array; no command calls it.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+# [low, high) of every entry of a seeded initial state
+_STATE_RANGE = (0.5, 1.5)
 
 
 def _seed_sequence(seed: int) -> tuple[int, int]:
@@ -91,13 +93,14 @@ def _seed_sequence(seed: int) -> tuple[int, int]:
     return w[0] << 64 | w[1], w[2] << 64 | w[3]
 
 
-def _uniform(seed: int, count: int, low: float, high: float) -> list[float]:
-    """``np.random.default_rng(seed).uniform(low, high, count)``, bit for bit:
-    PCG64 (128-bit LCG, XSL-RR output) and numpy's 53-bit doubles."""
+def _uniform(seed: int, count: int) -> list[float]:
+    """``np.random.default_rng(seed).uniform(*_STATE_RANGE, count)``, bit for
+    bit: PCG64 (128-bit LCG, XSL-RR output) and numpy's 53-bit doubles."""
     initial, stream = _seed_sequence(seed)
     inc = (stream << 1 | 1) & _MASK128
     # seeding: one step from state 0 (which lands on inc), add initial, step
     state = ((inc + initial) * _PCG64_MULTIPLIER + inc) & _MASK128
+    low, high = _STATE_RANGE
     width, out = high - low, []
     for _ in range(count):
         state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
@@ -133,11 +136,11 @@ class KPStateNumeric:
         self.B = _rows(self.B, self.N, self.M)
 
     @classmethod
-    def random(cls, N: int, M: int, seed: int, low: float = 0.5, high: float = 1.5):
-        """A and then B uniform in [low, high): the state
-        ``np.random.default_rng(seed).uniform(low, high, (M, N))`` draws."""
+    def random(cls, N: int, M: int, seed: int):
+        """A and then B uniform in [0.5, 1.5): the state
+        ``np.random.default_rng(seed).uniform(0.5, 1.5, (M, N))`` draws."""
         _require_torus(N, M)
-        return cls.from_flat(N, M, _uniform(seed, 2 * N * M, low, high))
+        return cls.from_flat(N, M, _uniform(seed, 2 * N * M))
 
     def flat(self) -> list[float]:
         return [v for rows in (self.A, self.B) for row in rows for v in row]
@@ -257,50 +260,39 @@ def _compiled_flow(N: int, M: int, degree: int) -> CompiledPoly:
     return CompiledPoly(rows, state_index(N, M))
 
 
-@lru_cache(maxsize=None)
-def _first_flow_tables(N: int, M: int):
-    """The kappa and rho circulants over the flat index m*N + n, as numpy
-    arrays.
-
-    Entry [s, t] is kappa (rho) at the torus offset from site s to site t.
-    """
-    import numpy as np
-
-    site = np.arange(N * M)
-    dn = (site[None, :] % N - site[:, None] % N) % N
-    dm = (site[None, :] // N - site[:, None] // N) % M
-    kt = np.array(build_kappa(N, M).values, dtype=float)
-    rt = np.array(build_rho(N, M).values, dtype=float)
-    return kt[dm, dn], rt[dm, dn]
-
-
-def _first_flow_flat(N: int, M: int, flat):
-    """The first flow, straight from the evolution equations (no bracket),
-    as a numpy array:
+def _first_flow(N: int, M: int, flat) -> list[float]:
+    """The first flow, straight from the evolution equations (no bracket):
     dA(n,m) = B(n,m) - B(n+1,m) + (sum_{k,l} kappa(k-n, l-m) A(k,l)) A(n,m)
     dB(n,m) = (sum_{k,l} rho(k-n, l-m) A(k,l)) B(n,m)
     """
-    import numpy as np
-
-    flat = np.asarray(flat, dtype=float)
+    kappa, rho = build_kappa(N, M).values, build_rho(N, M).values
     A, B = flat[: N * M], flat[N * M :]
-    K, R = _first_flow_tables(N, M)
-    B_next = np.roll(B.reshape(M, N), -1, axis=1).ravel()
-    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported, not warned about
-        return np.concatenate([B - B_next + (K @ A) * A, (R @ A) * B])
+    dA, dB = [], []
+    for m in range(M):
+        for n in range(N):
+            ka = ra = 0.0
+            for l in range(M):
+                for k in range(N):
+                    ka += kappa[(l - m) % M][(k - n) % N] * A[l * N + k]
+                    ra += rho[(l - m) % M][(k - n) % N] * A[l * N + k]
+            s = m * N + n
+            dA.append(B[s] - B[m * N + (n + 1) % N] + ka * A[s])
+            dB.append(ra * B[s])
+    return dA + dB
 
 
 def _rhs_fn(N: int, M: int, flow):
     """Flat-state tangent evaluator for "first" or a ledger degree: a list
     of floats in, a list of floats out."""
     if flow == "first":
-        return lambda flat: _first_flow_flat(N, M, flat).tolist()
+        return lambda flat: _first_flow(N, M, flat)
     return _compiled_flow(N, M, int(flow))
 
 
 def flow_rhs(degree, state: KPStateNumeric):
     """Tangent vector of flow `degree` ("first" or a ledger degree) at
-    state, as a numpy array."""
+    state, as a numpy array.  It needs numpy, and exists for the benchmark's
+    gate and the tests; ``integrate`` calls ``_rhs_fn`` instead."""
     import numpy as np
 
     _require_torus(state.N, state.M)
@@ -357,6 +349,8 @@ def integrate(
         raise ValueError("dt must be positive")
     if T < 0:
         raise ValueError("T must be nonnegative")
+    if not math.isfinite(T / dt):
+        raise ValueError(f"T / dt must be a finite step count, got {T / dt}")
     N, M = state.N, state.M
     degrees = band_curve(N, M).degrees()
     ledger = _compiled_ledger(N, M)

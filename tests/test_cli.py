@@ -309,6 +309,12 @@ class TestFlow:
         assert report is None
         assert err == f"error: {option} must be a finite number, got {value}\n"
 
+    def test_step_count_overflow_is_a_config_error(self, capsys):
+        code, report, err = run_cli(capsys, "flow", "--N", "3", "--M", "2", "--T", "1e300", "--dt", "1e-300")
+        assert code == 2
+        assert report is None
+        assert err == "error: T / dt must be a finite step count, got inf\n"
+
     def test_record_every(self, capsys):
         code, report, _ = run_cli(
             capsys, "flow", "--N", "3", "--M", "2", *self.FAST, "--record-every", "10"

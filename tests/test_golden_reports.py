@@ -8,13 +8,18 @@ benchmark does not run, and neither is ``pipes`` on (5, 2).
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dkp.cli import main
 
 _SEED_LINE = re.compile(rb'\n  "seed": [0-9]+(,?)\n')
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 GOLDEN = {
     (3, 2): "bbcadfa2d79a2c8e317465e18f1e2668f607e0a88711b0292deb9c00c60b8a56",
@@ -77,6 +82,10 @@ def _digest(capsys, argv, status=0):
     code = main(argv)
     report = capsys.readouterr().out.encode()
     assert code == status
+    return _sha(report)
+
+
+def _sha(report: bytes) -> str:
     return hashlib.sha256(_SEED_LINE.sub(b"\n", report, count=1)).hexdigest()
 
 
@@ -105,3 +114,37 @@ def test_flow_and_numeric_curve_report_bytes(capsys, tmp_path, command):
     status, digest = GOLDEN_FLOW[command]
     argv = command.replace("STATE", str(state)).split()
     assert _digest(capsys, argv, status) == digest
+
+
+def test_reports_and_first_flow_without_numpy(tmp_path):
+    # numpy made unimportable: every command and the first-flow route run,
+    # and the reports keep their bytes
+    flow = "flow --N 4 --M 3 --degree 1 --dt 1e-3 --T 1 --seed 61"
+    runs = {
+        "check --N 3 --M 2 --suite all": GOLDEN[(3, 2)],
+        "curve --N 3 --M 2": GOLDEN_CURVE[(3, 2)],
+        "pipes --N 3 --M 2 --pairings --sum-zero": GOLDEN_PIPES[(3, 2)],
+        flow: GOLDEN_FLOW[flow][1],
+    }
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from dkp.cli import main\n"
+        "from dkp.flows import KPStateNumeric, integrate\n"
+        f"for i, command in enumerate({list(runs)!r}):\n"
+        "    assert main(command.split() + ['--out', f'{i}.json']) == 0, command\n"
+        "print(integrate(KPStateNumeric.random(3, 2, 1), 'first', 1e-3, 0.01).steps)\n"
+    )
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        cwd=tmp_path,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "10"
+    for i, digest in enumerate(runs.values()):
+        assert _sha((tmp_path / f"{i}.json").read_bytes()) == digest

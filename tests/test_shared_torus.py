@@ -116,6 +116,24 @@ def test_only_the_torus_validator_computes_a_gcd():
     assert callers == ["torus"]
 
 
+def test_numpy_is_imported_only_by_flow_rhs():
+    # dkp needs no numpy; flow_rhs hands the benchmark's gate and the tests an array
+    importers = []
+    for name, tree in _modules().items():
+        # innermost enclosing function: ast.walk reaches outer functions first
+        scope = {n: f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                importers.append(f"{name}.{scope.get(node, '<module>')}")
+    assert importers == ["flows.flow_rhs"]
+
+
 @pytest.mark.parametrize("command", ["curve", "check", "flow", "pipes"])
 def test_parser_defaults_are_the_config_defaults(command):
     args = build_parser().parse_args([command, "--N", "3", "--M", "2"])

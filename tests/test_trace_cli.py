@@ -21,14 +21,17 @@ TRACER = ROOT / "perfbench" / "trace_cli.py"
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,span,counter",
     [
-        ["check", "--N", "3", "--M", "1", "--suite", "all"],
-        ["curve", "--N", "3", "--M", "1"],
+        (["check", "--N", "3", "--M", "1", "--suite", "all"], None, None),
+        (["curve", "--N", "3", "--M", "1"], None, None),
+        # flows.rhs is interned only when flows._rhs_fn runs
+        (["flow", "--N", "3", "--M", "2", "--T", "0.01"], "flows.rhs", None),
+        (["pipes", "--N", "3", "--M", "2", "--pairings", "--sum-zero"], None, "pipes.pairs"),
     ],
-    ids=["check", "curve"],
+    ids=["check", "curve", "flow", "pipes"],
 )
-def test_traced_command_exits_0_and_writes_spans(tmp_path, argv):
+def test_traced_command_exits_0_and_writes_spans(tmp_path, argv, span, counter):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, str(TRACER), str(tmp_path / "spans"), *argv],
@@ -40,5 +43,9 @@ def test_traced_command_exits_0_and_writes_spans(tmp_path, argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["command"] == argv[0]
-    names = json.loads((tmp_path / "spans" / "spans.json").read_text())["names"]
-    assert {"cli._emit", f"cli._cmd_{argv[0]}"} <= set(names)
+    meta = json.loads((tmp_path / "spans" / "spans.json").read_text())
+    assert {"cli._emit", f"cli._cmd_{argv[0]}"} <= set(meta["names"])
+    if span:
+        assert span in meta["names"]
+    if counter:
+        assert meta["counters"].get(counter, 0) > 0
