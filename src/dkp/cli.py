@@ -258,17 +258,14 @@ def _cmd_check(cfg: RunConfig) -> tuple[dict, bool, str]:
 
 
 def _cmd_flow(cfg: RunConfig) -> tuple[dict, bool, str]:
-    from .flows import FlowBlowup, KPStateNumeric, integrate
+    from .flows import KPStateNumeric, integrate
 
     if cfg.state:
         state = _load_state(cfg.state, cfg.N, cfg.M)
     else:
         state = KPStateNumeric.random(cfg.N, cfg.M, cfg.seed)
     degree = 1 if cfg.degree is None else cfg.degree
-    try:
-        result = integrate(state, degree, cfg.dt, cfg.T, cfg.record_every)
-    except FlowBlowup as exc:
-        result = exc.result
+    result = integrate(state, degree, cfg.dt, cfg.T, cfg.record_every)
     ok = result.blowup is None and result.max_drift <= cfg.drift_tolerance
     body = {
         "degree": degree,

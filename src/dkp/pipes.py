@@ -50,18 +50,19 @@ over all ordered pairs at once,
     kappa route   P = H K H^T
     antisymmetry  P = -P^T
 
-Row i of P is one int whose signed field j, at bit width*j, is entry (i, j).
+Row i of P is one int whose signed 16-bit field j, at bit 16*j, is entry (i, j).
 With hcol[t] column t of H packed so, row i of the knee route is the sum of
 hcol[t] over L_i minus that over R_i, row i of the kappa route is the sum
 over H_i of kcol[s] = sum_t kappa(s - t) hcol[t], and column i of the knee
 route is the sum over H_i of the packed columns of L - R; each check on a
-row is one int equality.  The field is the narrowest of 8, 16, 32 and 64
-bits that holds the exact bound (NM)^2 max|kappa|; a bound that does not
-fit raises OverflowError, so no value is ever wrapped.  A pair's product is
-keyed by the sum of its diagrams' codes, which give each entry of the
-[H | L] count row a 2-bit field; a summed entry is at most 2, so equal sums
-are equal products.  ``tests/pipes_oracle.py`` computes one entry by both
-routes, one pair at a time.
+row is one int equality.  The 16-bit field holds the exact bound
+(NM)^2 max|kappa| on every torus with NM <= 181, far past any torus the
+enumeration reaches; a larger bound raises OverflowError, so no value is
+ever wrapped.  A pair's product is keyed by the sum of its diagrams' codes,
+which give each entry of the [H | L] count row a 2-bit field; a summed
+entry is at most 2, so equal sums are equal products.
+``tests/pipes_oracle.py`` computes one entry by both routes, one pair at a
+time.
 
 The diagrams are built row by row from the port rules alone.  A site uses
 no ports, W-E (horizontal), W-S (left-down), N-E (up-right) or all four
@@ -80,7 +81,6 @@ bijection, which concerns the nonconstant ledger entries.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -89,7 +89,7 @@ from typing import Iterator, Sequence
 
 from .curve import _curve_slots, slot_degree
 from .lattice import reduction_levels
-from .symalg import ExactPoly, Gen, Scalar, gen_B
+from .symalg import ExactPoly, Scalar, _signed_fields, _twos_complement
 from .torus import SignFunction, _require_torus, build_kappa
 
 Site = tuple[int, int]
@@ -288,16 +288,14 @@ def pure_A_monomials(poly: ExactPoly) -> list[tuple[frozenset[Site], Scalar]]:
     return out
 
 
-def _b_zero(N: int, M: int) -> dict[Gen, int]:
-    """The substitution B = 0 on every site of the torus."""
-    return {gen_B(n, m): 0 for n in range(N) for m in range(M)}
-
-
 def _b0_slots(N: int, M: int) -> dict[tuple[int, int], ExactPoly]:
     """The normalized spectral-curve slots at B = 0, from the determinant of
-    the level-1 band with B set to 0 (see the module docstring)."""
-    b_zero = _b_zero(N, M)
-    band = {key: p.substitute(b_zero) for key, p in reduction_levels(N, M)[1].items()}
+    the level-1 band with B set to 0 (see the module docstring).  B enters
+    the band only with positive exponents: B = 0 drops every term with a B."""
+    band = {
+        key: ExactPoly({mono: q for mono, q in p.terms.items() if all(g[0] != "B" for g, _ in mono)})
+        for key, p in reduction_levels(N, M)[1].items()
+    }
     return _curve_slots(N, M, band)
 
 
@@ -385,7 +383,7 @@ def product_key(d1: PipeDiagram, d2: PipeDiagram) -> tuple[tuple[Site, str], ...
     return tuple(sorted(d1.pieces + d2.pieces))
 
 
-_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}  # signed memoryview formats by field width
+_WIDTH = 16  # bits per packed pairing field (see the module docstring)
 
 
 def _code(d: PipeDiagram) -> int:
@@ -398,19 +396,19 @@ def _code(d: PipeDiagram) -> int:
 
 
 def _pairing_rows(
-    kappa: SignFunction, diagrams: Sequence[PipeDiagram], width: int
+    kappa: SignFunction, diagrams: Sequence[PipeDiagram]
 ) -> Iterator[tuple[int, int, int]]:
     """Per diagram, in order: its packed row of ``(L - R) H^T``, its packed
     row of ``H K H^T`` and its packed column of ``(L - R) H^T`` over
-    `diagrams`, fields `width` bits apart."""
+    `diagrams`, fields ``_WIDTH`` bits apart."""
     N, M = kappa.N, kappa.M
     sites = [(n, m) for n in range(N) for m in range(M)]  # site n*M + m
 
     def columns(pieces: str) -> list[int]:
-        cols = [bytearray(width // 8 * len(diagrams)) for _ in sites]
+        cols = [bytearray(_WIDTH // 8 * len(diagrams)) for _ in sites]
         for j, d in enumerate(diagrams):
             for n, m in getattr(d, pieces):
-                cols[n * M + m][width // 8 * j] = 1
+                cols[n * M + m][_WIDTH // 8 * j] = 1
         return [int.from_bytes(c, "little") for c in cols]
 
     def gather(cols: list[int], at: frozenset[Site]) -> int:
@@ -429,21 +427,19 @@ def _pairing_rows(
 
 @dataclass(frozen=True)
 class _PairingTable:
-    """One packed knee row per diagram, fields in `width`-bit two's complement;
+    """One packed knee row per diagram, fields in 16-bit two's complement;
     degree d has diagrams ``starts[d]`` to ``starts[d + 1] - 1``.  ``failing``
     maps each row failing the kappa route or antisymmetry to its kappa row
     and knee column, packed the same way."""
 
-    width: int
     starts: tuple[int, ...]
     codes: tuple[int, ...]
     knee: tuple[int, ...]
     failing: dict[int, tuple[int, int]]
 
     def decode(self, row: int) -> memoryview:
-        """The fields of a packed row, read in ``sys.byteorder`` as ``poisson._mono`` does."""
-        raw = row.to_bytes(self.width // 8 * len(self.codes), sys.byteorder)
-        return memoryview(raw).cast(_FORMATS[self.width])
+        """The signed fields of a packed row, one per diagram."""
+        return _signed_fields(row, _WIDTH, len(self.codes))
 
 
 @lru_cache(maxsize=None)
@@ -452,23 +448,20 @@ def _pairing_table(kappa: SignFunction) -> _PairingTable:
     N, M = kappa.N, kappa.M
     # a knee entry is at most NM, a kappa entry at most (NM)^2 max|kappa|
     bound = N * M * max(1, N * M * max(abs(v) for row in kappa.values for v in row))
-    width = next((w for w in _FORMATS if bound < 1 << (w - 1)), None)
-    if width is None:
-        raise OverflowError(f"pairing bound {bound} does not fit a 64-bit field")
+    if bound >= 1 << _WIDTH - 1:
+        raise OverflowError(f"pairing bound {bound} does not fit a {_WIDTH}-bit field")
     diagrams = [d for ds in _tpds(N, M) for d in ds]
-    # The bias lifts every field into [0, 2^width) without a carry; flipping
-    # each field's top bit then leaves it in two's complement.
-    bias = int.from_bytes((1 << width - 1).to_bytes(width // 8, "little") * len(diagrams), "little")
-    # One diagram's rows at a time: only the knee rows and the failing rows are kept.
+    count = len(diagrams)
+    # One diagram's rows at a time; the kept rows are in two's complement, so a decode is a cast.
     knee: list[int] = []
     failing: dict[int, tuple[int, int]] = {}
-    for i, (k, q, r) in enumerate(_pairing_rows(kappa, diagrams, width)):
-        knee.append((k + bias) ^ bias)
+    for i, (k, q, r) in enumerate(_pairing_rows(kappa, diagrams)):
+        knee.append(_twos_complement(k, _WIDTH, count))
         if k != q or k != -r:
-            failing[i] = ((q + bias) ^ bias, (r + bias) ^ bias)
+            failing[i] = (_twos_complement(q, _WIDTH, count), _twos_complement(r, _WIDTH, count))
     starts = tuple(accumulate((len(ds) for ds in _tpds(N, M)), initial=0))
     codes = tuple(map(_code, diagrams))
-    return _PairingTable(width, starts, codes, tuple(knee), failing)
+    return _PairingTable(starts, codes, tuple(knee), failing)
 
 
 def verify_pairing_consistency(N: int, M: int) -> dict:

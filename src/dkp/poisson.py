@@ -28,8 +28,9 @@ table numbers its generators (the universe, then alpha and beta), and a
 monomial is one int in which exponent e of generator i contributes
 e << (i * 32), a signed 32-bit field, so a monomial product is one int
 addition (the packed exponent vectors of Monagan and Pearce, CASC 2007).
-Exponents must stay below 2**29 in magnitude (OverflowError otherwise, never
-a wrapped result), and a generator outside the table raises ValueError.
+A key is read back through ``symalg``'s packed-field codec.  Exponents
+must stay below 2**29 in magnitude (OverflowError otherwise, never a
+wrapped result), and a generator outside the table raises ValueError.
 The full bracket {f, g} = sum_a df/dx_a * {x_a, g}, unpacked into an
 ``ExactPoly``, is ``bracket_extend`` in ``tests/poisson_oracle.py``, the
 case-by-case reference the packed suites are tested against.  ``pullback``
@@ -54,7 +55,6 @@ tuple; an empty failure list means the identity holds exactly.
 from __future__ import annotations
 
 import itertools
-import sys
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
@@ -66,6 +66,8 @@ from dkp.symalg import (
     ExactPoly,
     Gen,
     Scalar,
+    _signed_fields,
+    _twos_complement,
     gen_A,
     gen_B,
     gen_c,
@@ -79,7 +81,6 @@ BRACKET1_SIGN = -1
 
 # Packed monomials (see the module docstring): one signed field per generator.
 _FIELD = 32
-_HALF = 1 << (_FIELD - 1)
 # Three exponents add up in one bracket term, so each stays below 2**29.
 _EXP_LIMIT = 1 << (_FIELD - 3)
 
@@ -121,7 +122,6 @@ class BracketTable:
         self._unit = {g: 1 << (i * _FIELD) for i, g in enumerate(gens)}
         self._gens = gens
         self._order = sorted(range(len(gens)), key=gens.__getitem__)
-        self._bias = sum(_HALF * u for u in self._unit.values())
         self._entries: dict[tuple[int, int], tuple[ExactPoly, Packed]] = {}
         self._entry_grads: dict[tuple[int, int], Gradient] = {}
         self._ledger_grads: dict[int, Gradient] = {}
@@ -163,12 +163,9 @@ class BracketTable:
 
     def _mono(self, key: int) -> tuple:
         """Unpack a packed monomial into a sorted tuple of (generator, exponent)."""
-        # The bias lifts every signed field to an unsigned 32-bit word.
-        raw = (key + self._bias).to_bytes(4 * len(self._gens), sys.byteorder)
-        words = memoryview(raw).cast("I")
-        return tuple(
-            (self._gens[i], words[i] - _HALF) for i in self._order if words[i] != _HALF
-        )
+        count = len(self._gens)
+        fields = _signed_fields(_twos_complement(key, _FIELD, count), _FIELD, count)
+        return tuple((self._gens[i], fields[i]) for i in self._order if fields[i])
 
     def unpack(self, p: Packed) -> ExactPoly:
         """The ``ExactPoly`` of a packed polynomial, zero coefficients dropped."""

@@ -12,10 +12,15 @@ A polynomial is a dict from monomials (sorted tuples of (generator, exponent)
 pairs, exponents nonzero) to nonzero int or Fraction coefficients.  Only
 ``alpha`` may carry negative exponents.  Everything stays exact; no floats
 enter unless :meth:`ExactPoly.evaluate` is handed floats.
+
+``_twos_complement`` and ``_signed_fields`` are the codec of ints that pack
+signed fields of one width, field i at bit width*i: ``poisson``'s monomial
+keys and ``pipes``' pairing rows.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -38,6 +43,18 @@ def gen_B(n: int, m: int) -> Gen:
 def gen_c(j: int, i: int, k: int) -> Gen:
     """Band entry generator: level j, band index i, lattice site k."""
     return ("c", j, i, k)
+
+
+def _twos_complement(packed: int, width: int, count: int) -> int:
+    """The int that holds each f_i of ``packed = sum f_i 2^(width*i)`` in two's complement."""
+    # 2^(width-1) lifts each field into [0, 2^width) with no carry; the xor flips it back.
+    bias = int.from_bytes((1 << width - 1).to_bytes(width // 8, "little") * count, "little")
+    return (packed + bias) ^ bias
+
+
+def _signed_fields(word: int, width: int, count: int) -> memoryview:
+    """The `count` signed fields of a ``_twos_complement`` int, read in ``sys.byteorder``."""
+    return memoryview(word.to_bytes(width // 8 * count, sys.byteorder)).cast({16: "h", 32: "i"}[width])
 
 
 def _norm_scalar(q: Scalar) -> Scalar:

@@ -16,11 +16,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from dkp import pipes
-from dkp.pipes import PipeDiagram, _b_zero, _code, _same_torus, enumerate_tpds
+from dkp.pipes import PipeDiagram, _code, _same_torus, enumerate_tpds
 from dkp.poisson import bracket2_AB
-from dkp.symalg import ExactPoly, gen_A
+from dkp.symalg import ExactPoly, Gen, gen_A, gen_B
 from dkp.torus import _require_torus
 from poisson_oracle import bracket_extend
+
+
+def _b_zero(N: int, M: int) -> dict[Gen, int]:
+    """The substitution B = 0 on every site of the torus."""
+    return {gen_B(n, m): 0 for n in range(N) for m in range(M)}
 
 
 def monomial(d: PipeDiagram) -> ExactPoly:

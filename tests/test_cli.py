@@ -315,6 +315,19 @@ class TestFlow:
         assert report is None
         assert err == "error: T / dt must be a finite step count, got inf\n"
 
+    def test_runaway_step_count_is_a_config_error(self):
+        # 1e300 RK4 steps are refused before any work; a subprocess with a
+        # timeout, so that a run that starts them fails instead of hanging
+        proc = subprocess.run(
+            [sys.executable, "-m", "dkp.cli", "flow", "--N", "3", "--M", "2", "--T", "1", "--dt", "1e-300"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: T / dt must be at most 100,000,000 steps, got 1e+300\n"
+
     def test_record_every(self, capsys):
         code, report, _ = run_cli(
             capsys, "flow", "--N", "3", "--M", "2", *self.FAST, "--record-every", "10"

@@ -432,8 +432,11 @@ class TestIntegration:
         big = KPStateNumeric(
             3, 2, rng.uniform(0.5, 1.5, (2, 3)) * 1e160, rng.uniform(0.5, 1.5, (2, 3))
         )
-        with pytest.raises(FloatingPointError):
-            integrate(big, "first", 1.0, 3.0)
+        res = integrate(big, "first", 1.0, 3.0)
+        assert res.blowup is not None
+        assert res.steps == res.blowup["step"] - 1
+        assert res.steps < 3  # stopped short of the three steps asked for
+        assert all(map(math.isfinite, res.state.flat()))
 
     def test_bad_step_parameters(self):
         s = zero_state(3, 2)
@@ -443,6 +446,10 @@ class TestIntegration:
             integrate(s, "first", 1e-2, -1.0)
         with pytest.raises(ValueError, match="finite step count"):
             integrate(s, "first", 1e-300, 1e300)
+        with pytest.raises(ValueError, match="at most 100,000,000 steps, got 1e"):
+            integrate(s, "first", 1e-300, 1.0)
+        with pytest.raises(ValueError, match="at most 100,000,000 steps"):
+            integrate(s, "first", 1.0, 1e8 + 1)
 
     def test_initial_q_values_match_exact_curve(self):
         from fractions import Fraction

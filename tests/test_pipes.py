@@ -595,9 +595,10 @@ def _bump_pairings(monkeypatch, bumped):
     one higher, as if both matrices had that entry raised."""
     original = pipes._pairing_rows
 
-    def perturbed(kappa, diagrams, width):
+    def perturbed(kappa, diagrams):
+        width = pipes._WIDTH
         at = [(diagrams.index(a), diagrams.index(b)) for a, b in bumped]
-        for r, (knee, kappa_sum, reverse) in enumerate(original(kappa, diagrams, width)):
+        for r, (knee, kappa_sum, reverse) in enumerate(original(kappa, diagrams)):
             for i, j in at:
                 if r == i:
                     knee += 1 << width * j
@@ -655,9 +656,9 @@ class TestMatrixFormOracle:
         built = []
         pairing_rows = pipes._pairing_rows
 
-        def counting(kappa, diagrams, width):
+        def counting(kappa, diagrams):
             built.append(len(diagrams))
-            return pairing_rows(kappa, diagrams, width)
+            return pairing_rows(kappa, diagrams)
 
         monkeypatch.setattr(pipes, "_pairing_rows", counting)
         sum_zero_check(3, 2, 5, 5)  # degree 5 has no diagram and builds nothing
@@ -670,7 +671,6 @@ class TestMatrixFormOracle:
 
     def test_decoded_rows_match_pairing_routes(self):
         table = pipes._pairing_table(build_kappa(4, 3))
-        assert table.width == 16  # (NM)^2 max|kappa| = 144 needs more than 8 bits
         assert table.failing == {}
         diagrams = enumerate_tpds(4, 3, 5)
         lo = table.starts[5]
@@ -693,15 +693,15 @@ class TestMatrixFormOracle:
         assert peak < 2 * sum(map(sys.getsizeof, kept))
 
     def test_bound_outside_every_field_raises(self, monkeypatch):
-        # (NM)^2 max|kappa| = 36 * 2^60 needs more than a 64-bit field: refused, never wrapped
+        # (NM)^2 max|kappa| = 36 * 2^60 needs more than the 16-bit field: refused, never wrapped
         kappa = build_kappa(3, 2)
         huge = dataclasses.replace(
             kappa, values=tuple(tuple(v << 60 for v in row) for row in kappa.values)
         )
         monkeypatch.setattr(pipes, "build_kappa", lambda *_: huge)
-        with pytest.raises(OverflowError, match="does not fit a 64-bit field"):
+        with pytest.raises(OverflowError, match="does not fit a 16-bit field"):
             verify_pairing_consistency(3, 2)
-        with pytest.raises(OverflowError, match="does not fit a 64-bit field"):
+        with pytest.raises(OverflowError, match="does not fit a 16-bit field"):
             sum_zero_check(3, 2, 1, 2)
 
 

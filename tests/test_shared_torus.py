@@ -116,6 +116,19 @@ def test_only_the_torus_validator_computes_a_gcd():
     assert callers == ["torus"]
 
 
+def test_only_symalg_calls_memoryview():
+    # one packed-field codec: poisson and pipes read their signed fields through symalg
+    callers = [
+        name
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "memoryview"
+    ]
+    assert callers == ["symalg"]
+
+
 def test_numpy_is_imported_only_by_flow_rhs():
     # dkp needs no numpy; flow_rhs hands the benchmark's gate and the tests an array
     importers = []

@@ -6,13 +6,15 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dkp.symalg import (
     ALPHA,
     BETA,
     ExactPoly,
+    _signed_fields,
+    _twos_complement,
     gen_A,
     gen_B,
     gen_c,
@@ -201,3 +203,20 @@ def test_evaluate_respects_substitute(p):
     subbed = p.substitute({g: ExactPoly.const(v) for g, v in vals.items()})
     assert subbed.is_constant()
     assert subbed.constant_value() == direct
+
+
+def _packed_fields(width: int) -> st.SearchStrategy[tuple[int, list[int]]]:
+    half = 1 << (width - 1)
+    return st.lists(st.integers(-half, half - 1), min_size=1).map(lambda fs: (width, fs))
+
+
+@given(st.sampled_from([16, 32]).flatmap(_packed_fields))
+@example((16, [-(1 << 15), (1 << 15) - 1, 0, -1]))
+@example((32, [(1 << 31) - 1, -(1 << 31)]))
+@example((16, [-(1 << 15)]))
+def test_packed_fields_round_trip(case):
+    # the codec poisson's monomial keys and pipes' pairing rows are read through
+    width, fields = case
+    packed = sum(f << (width * i) for i, f in enumerate(fields))
+    word = _twos_complement(packed, width, len(fields))
+    assert list(_signed_fields(word, width, len(fields))) == fields
