@@ -334,10 +334,11 @@ def integrate(
     """Fixed-step RK4 with per-step evaluation of every ledger quantity.
 
     `flow` is "first" or a ledger degree.  A non-finite step ends the run
-    with ``blowup`` set; more than ``_MAX_STEPS`` steps raise ValueError.
-    Relative drift of q_d uses |q_d(0)| as the scale (floored at 1e-12).
-    The arithmetic is elementwise, in the order numpy's array expressions
-    ``x + (0.5*dt)*k`` and ``x + (dt/6.0)*(k1 + 2*k2 + 2*k3 + k4)`` take it.
+    with ``blowup`` set; T / dt off a whole step count (1e-9 relative) or
+    over ``_MAX_STEPS`` raises ValueError.  Relative drift of q_d uses
+    |q_d(0)| as the scale (floored at 1e-12).  The arithmetic is
+    elementwise, in the order numpy's array expressions ``x + (0.5*dt)*k``
+    and ``x + (dt/6.0)*(k1 + 2*k2 + 2*k3 + k4)`` take it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -345,8 +346,11 @@ def integrate(
         raise ValueError("T must be nonnegative")
     if not math.isfinite(T / dt):
         raise ValueError(f"T / dt must be a finite step count, got {T / dt}")
-    if round(T / dt) > _MAX_STEPS:
+    steps = round(T / dt)
+    if steps > _MAX_STEPS:
         raise ValueError(f"T / dt must be at most {_MAX_STEPS:,} steps, got {T / dt:.3g}")
+    if abs(T / dt - steps) > 1e-9 * max(1, steps):
+        raise ValueError(f"T / dt must be a whole number of steps, got {T / dt:.9g}")
     N, M = state.N, state.M
     degrees = band_curve(N, M).degrees()
     ledger = _compiled_ledger(N, M)
@@ -355,7 +359,6 @@ def integrate(
     q0 = ledger(flat)
     drift = [0.0] * len(q0)
     scale = [max(abs(q), 1e-12) for q in q0]
-    steps = int(round(T / dt))
     half, sixth = 0.5 * dt, dt / 6.0
     trajectory: list[dict] = []
 

@@ -51,18 +51,18 @@ over all ordered pairs at once,
     antisymmetry  P = -P^T
 
 Row i of P is one int whose signed 16-bit field j, at bit 16*j, is entry (i, j).
-With hcol[t] column t of H packed so, row i of the knee route is the sum of
-hcol[t] over L_i minus that over R_i, row i of the kappa route is the sum
-over H_i of kcol[s] = sum_t kappa(s - t) hcol[t], and column i of the knee
-route is the sum over H_i of the packed columns of L - R; each check on a
-row is one int equality.  The 16-bit field holds the exact bound
-(NM)^2 max|kappa| on every torus with NM <= 181, far past any torus the
-enumeration reaches; a larger bound raises OverflowError, so no value is
-ever wrapped.  A pair's product is keyed by the sum of its diagrams' codes,
-which give each entry of the [H | L] count row a 2-bit field; a summed
-entry is at most 2, so equal sums are equal products.
-``tests/pipes_oracle.py`` computes one entry by both routes, one pair at a
-time.
+With hcol[t] column t of H packed so, row i of the kappa route is the sum
+over H_i of kcol[s] = sum_t kappa(s - t) hcol[t].  A closed diagram's R is
+its L one row down, so row i of the knee route is the sum over (n, m) in L_i
+of hcol[nM+m] - hcol[nM+(m-1)%M], and column i the sum over H_i of
+lcol[nM+m] - lcol[nM+(m+1)%M]; each check on a row is one int equality.
+The 16-bit field holds the exact bound (NM)^2 max|kappa| on every torus with
+NM <= 181, far past any torus the enumeration reaches; a larger bound raises
+OverflowError, so no value is ever wrapped.  A pair's product is keyed by
+the sum of its diagrams' codes, which give each entry of the [H | L] count
+row a 2-bit field; a summed entry is at most 2, so equal sums are equal
+products.  ``tests/pipes_oracle.py`` computes one entry by both routes, one
+pair at a time.
 
 The diagrams are built row by row from the port rules alone.  A site uses
 no ports, W-E (horizontal), W-S (left-down), N-E (up-right) or all four
@@ -414,12 +414,13 @@ def _pairing_rows(
     def gather(cols: list[int], at: frozenset[Site]) -> int:
         return sum(cols[n * M + m] for n, m in at)
 
-    hcol, lcol, rcol = columns("horizontal"), columns("left_down"), columns("up_right")
+    hcol, lcol = columns("horizontal"), columns("left_down")
     kcol = [sum(kappa(n - p, m - q) * h for (p, q), h in zip(sites, hcol)) for n, m in sites]
-    knee_cols = [lc - rc for lc, rc in zip(lcol, rcol)]
+    knee_rows = [hcol[n * M + m] - hcol[n * M + (m - 1) % M] for n, m in sites]
+    knee_cols = [lcol[n * M + m] - lcol[n * M + (m + 1) % M] for n, m in sites]
     for d in diagrams:
         yield (
-            gather(hcol, d.left_down) - gather(hcol, d.up_right),
+            gather(knee_rows, d.left_down),
             gather(kcol, d.horizontal),
             gather(knee_cols, d.horizontal),
         )

@@ -11,7 +11,10 @@ Generators are plain tuples so they can key dicts and sort deterministically:
 A polynomial is a dict from monomials (sorted tuples of (generator, exponent)
 pairs, exponents nonzero) to nonzero int or Fraction coefficients.  Only
 ``alpha`` may carry negative exponents.  Everything stays exact; no floats
-enter unless :meth:`ExactPoly.evaluate` is handed floats.
+enter unless :meth:`ExactPoly.evaluate` is handed floats.  Results are built
+once: an integral Fraction stays one (it equals, hashes and prints as its
+int), and monomials stay sorted (a product sorts its merge; the other
+operations drop or lower one factor of a sorted tuple).
 
 ``_twos_complement`` and ``_signed_fields`` are the codec of ints that pack
 signed fields of one width, field i at bit width*i: ``poisson``'s monomial
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 Gen = tuple
@@ -45,22 +49,22 @@ def gen_c(j: int, i: int, k: int) -> Gen:
     return ("c", j, i, k)
 
 
+@lru_cache(maxsize=None)
+def _bias(width: int, count: int) -> int:
+    """2^(width-1) in each of `count` fields of `width` bits."""
+    return int.from_bytes((1 << width - 1).to_bytes(width // 8, "little") * count, "little")
+
+
 def _twos_complement(packed: int, width: int, count: int) -> int:
     """The int that holds each f_i of ``packed = sum f_i 2^(width*i)`` in two's complement."""
-    # 2^(width-1) lifts each field into [0, 2^width) with no carry; the xor flips it back.
-    bias = int.from_bytes((1 << width - 1).to_bytes(width // 8, "little") * count, "little")
+    # The bias lifts each field into [0, 2^width) with no carry; the xor flips it back.
+    bias = _bias(width, count)
     return (packed + bias) ^ bias
 
 
 def _signed_fields(word: int, width: int, count: int) -> memoryview:
     """The `count` signed fields of a ``_twos_complement`` int, read in ``sys.byteorder``."""
     return memoryview(word.to_bytes(width // 8 * count, sys.byteorder)).cast({16: "h", 32: "i"}[width])
-
-
-def _norm_scalar(q: Scalar) -> Scalar:
-    if isinstance(q, Fraction) and q.denominator == 1:
-        return int(q)
-    return q
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -84,13 +88,7 @@ class ExactPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Scalar] = {}
-        if terms:
-            for mono, q in terms.items():
-                q = _norm_scalar(q)
-                if q:
-                    clean[mono] = q
-        self.terms = clean
+        self.terms = {mono: q for mono, q in terms.items() if q} if terms else {}
 
     # constructors
 
@@ -113,24 +111,14 @@ class ExactPoly:
     # ring structure
 
     def __add__(self, other: "ExactPoly | Scalar") -> "ExactPoly":
-        other = _coerce(other)
         acc = dict(self.terms)
-        for mono, q in other.terms.items():
-            nq = acc.get(mono, 0) + q
-            if nq:
-                acc[mono] = nq
-            else:
-                acc.pop(mono, None)
-        out = ExactPoly.__new__(ExactPoly)
-        out.terms = {m: _norm_scalar(q) for m, q in acc.items()}
-        return out
+        _add_into(acc, _coerce(other).terms)
+        return _of(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactPoly":
-        out = ExactPoly.__new__(ExactPoly)
-        out.terms = {m: -q for m, q in self.terms.items()}
-        return out
+        return _of({m: -q for m, q in self.terms.items()})
 
     def __sub__(self, other: "ExactPoly | Scalar") -> "ExactPoly":
         return self + (-_coerce(other))
@@ -142,9 +130,7 @@ class ExactPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return ExactPoly()
-            out = ExactPoly.__new__(ExactPoly)
-            out.terms = {m: _norm_scalar(q * other) for m, q in self.terms.items()}
-            return out
+            return _of({m: q * other for m, q in self.terms.items()})
         acc: dict[Monomial, Scalar] = {}
         for m1, q1 in self.terms.items():
             for m2, q2 in other.terms.items():
@@ -154,9 +140,7 @@ class ExactPoly:
                     acc[mono] = nq
                 else:
                     acc.pop(mono, None)
-        out = ExactPoly.__new__(ExactPoly)
-        out.terms = {m: _norm_scalar(q) for m, q in acc.items()}
-        return out
+        return _of(acc)
 
     __rmul__ = __mul__
 
@@ -207,41 +191,32 @@ class ExactPoly:
         """The polynomial coefficient of gen**exp (gen removed)."""
         acc: dict[Monomial, Scalar] = {}
         for mono, q in self.terms.items():
-            d = dict(mono)
-            if d.pop(gen, 0) == exp:
-                acc[tuple(sorted(d.items()))] = q
-        return ExactPoly(acc)
+            e, rest = _split(mono, gen)
+            if e == exp:
+                acc[rest] = q
+        return _of(acc)
 
     def alpha_beta_decomposition(self) -> dict[tuple[int, int], "ExactPoly"]:
         """Split into coefficients of alpha**a beta**b."""
         acc: dict[tuple[int, int], dict[Monomial, Scalar]] = {}
         for mono, q in self.terms.items():
-            d = dict(mono)
-            a = d.pop(ALPHA, 0)
-            b = d.pop(BETA, 0)
-            acc.setdefault((a, b), {})[tuple(sorted(d.items()))] = q
-        return {ab: ExactPoly(t) for ab, t in acc.items()}
+            a, rest = _split(mono, ALPHA)
+            b, rest = _split(rest, BETA)
+            acc.setdefault((a, b), {})[rest] = q
+        return {ab: _of(t) for ab, t in acc.items()}
 
     # calculus and substitution
 
     def partial(self, gen: Gen) -> "ExactPoly":
+        # distinct monomials stay distinct once gen's exponent is lowered
         acc: dict[Monomial, Scalar] = {}
         for mono, q in self.terms.items():
-            d = dict(mono)
-            e = d.get(gen, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[gen]
-            else:
-                d[gen] = e - 1
-            nm = tuple(sorted(d.items()))
-            nq = acc.get(nm, 0) + q * e
-            if nq:
-                acc[nm] = nq
-            else:
-                acc.pop(nm, None)
-        return ExactPoly(acc)
+            for i, (g, e) in enumerate(mono):
+                if g == gen:
+                    lowered = ((g, e - 1),) if e != 1 else ()
+                    acc[mono[:i] + lowered + mono[i + 1 :]] = q * e
+                    break
+        return _of(acc)
 
     def substitute(self, mapping: Mapping[Gen, "ExactPoly | Scalar"]) -> "ExactPoly":
         """Replace generators by polynomials (or scalars); others untouched."""
@@ -272,7 +247,7 @@ class ExactPoly:
                 else:
                     acc = acc * v**e
             total = total + acc
-        return _norm_scalar(total) if isinstance(total, Fraction) else total
+        return total
 
     # serialization and display
 
@@ -309,13 +284,33 @@ def _coerce(x: "ExactPoly | Scalar") -> ExactPoly:
     return ExactPoly.const(x)
 
 
+def _of(terms: dict[Monomial, Scalar]) -> ExactPoly:
+    """The polynomial that owns `terms`, whose coefficients are all nonzero."""
+    out = ExactPoly.__new__(ExactPoly)
+    out.terms = terms
+    return out
+
+
+def _add_into(acc: dict[Monomial, Scalar], terms: Mapping[Monomial, Scalar]) -> None:
+    """acc += terms, dropping every coefficient that cancels."""
+    for mono, q in terms.items():
+        nq = acc.get(mono, 0) + q
+        if nq:
+            acc[mono] = nq
+        else:
+            acc.pop(mono, None)
+
+
+def _split(mono: Monomial, gen: Gen) -> tuple[int, Monomial]:
+    """gen's exponent in mono (0 if absent) and mono without gen, still sorted."""
+    for i, (g, e) in enumerate(mono):
+        if g == gen:
+            return e, mono[:i] + mono[i + 1 :]
+    return 0, mono
+
+
 def poly_sum(polys: Iterable[ExactPoly]) -> ExactPoly:
     acc: dict[Monomial, Scalar] = {}
     for p in polys:
-        for mono, q in p.terms.items():
-            nq = acc.get(mono, 0) + q
-            if nq:
-                acc[mono] = nq
-            else:
-                acc.pop(mono, None)
-    return ExactPoly(acc)
+        _add_into(acc, p.terms)
+    return _of(acc)

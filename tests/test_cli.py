@@ -315,6 +315,16 @@ class TestFlow:
         assert report is None
         assert err == "error: T / dt must be a finite step count, got inf\n"
 
+    @pytest.mark.parametrize(
+        "args,ratio", [(("--dt", "0.3", "--T", "1"), "3.33333333"), (("--T", "0.0004"), "0.4")]
+    )
+    def test_horizon_off_the_step_grid_is_a_config_error(self, capsys, args, ratio):
+        # T / dt = 3.33 would stop at t = 0.9 and 0.4 would take no step at all
+        code, report, err = run_cli(capsys, "flow", "--N", "3", "--M", "2", *args)
+        assert code == 2
+        assert report is None
+        assert err == f"error: T / dt must be a whole number of steps, got {ratio}\n"
+
     def test_runaway_step_count_is_a_config_error(self):
         # 1e300 RK4 steps are refused before any work; a subprocess with a
         # timeout, so that a run that starts them fails instead of hanging

@@ -450,6 +450,8 @@ class TestIntegration:
             integrate(s, "first", 1e-300, 1.0)
         with pytest.raises(ValueError, match="at most 100,000,000 steps"):
             integrate(s, "first", 1.0, 1e8 + 1)
+        with pytest.raises(ValueError, match="whole number of steps, got 3.33333333"):
+            integrate(s, "first", 0.3, 1.0)
 
     def test_initial_q_values_match_exact_curve(self):
         from fractions import Fraction

@@ -3,7 +3,9 @@
 
 Each digest is the SHA-256 of the report with its top-level ``seed`` line
 removed (the rule of ``perfbench/gate.py``).  (4, 3) is a torus the
-benchmark does not run, and neither is ``pipes`` on (5, 2).
+benchmark does not run, and neither is ``pipes`` on (5, 2); ``pipes`` on
+(5, 3) and (7, 2) are the benchmark's ``pipes`` runs, pinned here too so a
+byte change there fails tier-1 before it reaches the benchmark gate.
 """
 
 import hashlib
@@ -29,11 +31,13 @@ GOLDEN = {
 }
 
 # Recorded from the per-pair loop form of the pairing and sum-zero checks;
-# (3, 2) is also the digest in perfbench/digests.json.
+# (3, 2), (5, 3) and (7, 2) are the digests in perfbench/digests.json.
 GOLDEN_PIPES = {
     (3, 2): "8d79e4f51d7428caeebaf6a9fee627654270d32d0ef33b24f57edc164917db07",
     (5, 2): "60197c035eea644d835f6ea3da8284c05f5716a903faf92c8a84ad7352152747",
     (4, 3): "5d2997f3b531fc8710f6131eb64207171b9d8a5158f0af65df99a74a11e71b16",
+    (5, 3): "5b8f25f41cd47d079364dad61b3fa83d30131dcf0b1d5918c5e9f09ca0fa2576",
+    (7, 2): "83c254ca5f765bf68a4316066c24baa7c6ca6590021d34f295e37a96c95858de",
 }
 
 # The spectral report bytes, as in perfbench/digests.json.

@@ -774,6 +774,20 @@ class TestBracketAtBZero:
         report = bracket_b0_check(N, M, d1, d2, limit=60)
         assert report["ok"] is True
 
+    @pytest.mark.parametrize("N,M", [(3, 2), (5, 2), (4, 3), (5, 3), (7, 2), (3, 4), (5, 4)])
+    def test_a_entries_at_b_zero_are_kappa_weighted(self, N, M):
+        # {A(s), A(t)}_2 without its B terms is kappa(s - t) A(s) A(t) on every
+        # ordered pair, kappa oriented as in pipes._pairing_rows.  By the
+        # Leibniz rule, the bracket of two pure-A monomials at B = 0 is then
+        # the kappa route's entry times their product, on every diagram pair.
+        table, kappa = bracket2_AB(N, M), build_kappa(N, M)
+        sites = [(n, m) for n in range(N) for m in range(M)]
+        for (n, m), (p, q) in itertools.product(sites, repeat=2):
+            s, t = gen_A(n, m), gen_A(p, q)
+            terms = table.entry(s, t).terms
+            at_b0 = ExactPoly({mono: c for mono, c in terms.items() if all(g[0] != "B" for g, _ in mono)})
+            assert at_b0 == kappa(n - p, m - q) * ExactPoly.var(s) * ExactPoly.var(t), (s, t)
+
     def test_substitution_is_applied_after_bracketing(self):
         # adjacent horizontal pieces generate B-terms in the raw bracket; the
         # identity needs them killed only after the bracket is taken

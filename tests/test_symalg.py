@@ -40,6 +40,59 @@ def small_polys() -> st.SearchStrategy[ExactPoly]:
     )
 
 
+MIXED_GENS = [gen_A(0, 0), gen_A(1, 0), gen_B(0, 0), ALPHA, BETA, gen_c(1, 1, 0)]
+
+
+def mixed_polys() -> st.SearchStrategy[ExactPoly]:
+    # generators on both sides of alpha and beta in the sort order, alpha
+    # inverted too, and Fraction coefficients
+    factor = st.sampled_from(MIXED_GENS).flatmap(
+        lambda g: st.tuples(st.just(g), st.sampled_from([-2, -1, 1, 2] if g == ALPHA else [1, 2]))
+    )
+    mono = st.lists(factor, max_size=4).map(lambda ps: tuple(sorted(dict(ps).items())))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.lists(st.tuples(mono, coeff), max_size=5).map(
+        lambda ts: poly_sum(ExactPoly({m: q}) for m, q in ts)
+    )
+
+
+def assert_well_formed(p: ExactPoly) -> None:
+    for mono, q in p.terms.items():
+        assert q
+        assert isinstance(mono, tuple)
+        assert all(e and isinstance(e, int) for _, e in mono), mono
+        # sorted with each generator once
+        assert all(a[0] < b[0] for a, b in zip(mono, mono[1:])), mono
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=mixed_polys(), q=mixed_polys())
+def test_every_operation_keeps_monomials_sorted(p, q):
+    dec = p.alpha_beta_decomposition()
+    results = [p + q, p - q, p * q, *dec.values()]
+    for g in MIXED_GENS:
+        results.append(p.partial(g))
+        results += [p.coefficient(g, e) for e in (-1, 0, 1, 2)]
+    for r in results:
+        assert_well_formed(r)
+    # and the pieces put back together give p
+    assert poly_sum(c * ExactPoly.var(ALPHA, a) * ExactPoly.var(BETA, b) for (a, b), c in dec.items()) == p
+    for g in MIXED_GENS:
+        exps = {dict(mono).get(g, 0) for mono in p.terms}
+        assert poly_sum(p.coefficient(g, e) * ExactPoly.var(g, e) for e in exps) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=mixed_polys())
+def test_halving_and_doubling_round_trips(p):
+    # (p / 2) * 2 keeps integral Fractions, which equal, hash and print as p's ints
+    r = (p / 2) * 2
+    assert r == p
+    assert r.to_jsonable() == p.to_jsonable()
+    assert repr(r) == repr(p)
+    assert all(hash(r.terms[mono]) == hash(q) for mono, q in p.terms.items())
+
+
 def test_constructor_drops_zeros():
     p = ExactPoly({((gen_A(0, 0), 1),): 0, (): 3})
     assert p.terms == {(): 3}
