@@ -2,8 +2,9 @@
 ``pipes --pairings --sum-zero``, ``flow`` and ``curve --numeric`` produce.
 
 Each digest is the SHA-256 of the report with its top-level ``seed`` line
-removed (the rule of ``perfbench/gate.py``).  (4, 3) is a torus the
-benchmark does not run, and neither is ``pipes`` on (5, 2); ``pipes`` on
+removed (the rule of ``perfbench/gate.py``).  ``check`` on (4, 3), (5, 3),
+(4, 5), (5, 4) and (7, 3) is not a benchmark run, and neither is ``pipes`` on
+(5, 2); ``pipes`` on
 (5, 3) and (7, 2) are the benchmark's ``pipes`` runs, pinned here too so a
 byte change there fails tier-1 before it reaches the benchmark gate.
 """
@@ -28,6 +29,11 @@ GOLDEN = {
     (5, 2): "7acdfef3aa0976541712fd0a78346bd4dbc67cfbf553f9f1dfc4b97d9f951088",
     (3, 4): "1fc69e028a8b8df71d8c50ec9356ad99565e98b353846891177917d193d77878",
     (4, 3): "2862f18f3f454dcd677db07f39aa6e507e0ba6328c7f3f6890c8ef85955bffa5",
+    # recorded from the suites that check every generator, pair and triple
+    (5, 3): "ada1dd98a2e8347e7cf13924ac141b654b5b1b6cd2e375fc538514990ba109cb",
+    (4, 5): "7162ac31ff1a190380805233e3b0b7ae0abb8a7f3eea35d75034aac9c8c51ac2",
+    (5, 4): "303bfd09903d0d6313bd783e610652152262ccf42a3d3dff448d860f2abe1f25",
+    (7, 3): "9851044d079facf31958c6a2af6add926e0b84fc9ecf3ecaedbae8d3ca2e70f1",
 }
 
 # Recorded from the per-pair loop form of the pairing and sum-zero checks;
