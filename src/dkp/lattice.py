@@ -85,6 +85,9 @@ def reduction_levels(N: int, M: int) -> dict[int, LevelData]:
 
 
 def c_generators(N: int, M: int, j: int = 1) -> list[Gen]:
+    """The level-j band generators c_i(k), i >= 1, band-major and site-minor."""
+    if not 1 <= j <= M:
+        raise ValueError(f"reduction level must satisfy 1 <= j <= M, got {j}")
     return [gen_c(j, i, k) for i in range(1, 2 * (M + 1 - j) + 1) for k in range(N)]
 
 
@@ -92,8 +95,9 @@ def c_generators(N: int, M: int, j: int = 1) -> list[Gen]:
 def level_entries(N: int, M: int, j: int) -> dict[Gen, ExactPoly]:
     """Every level-j band generator c_i(k), i >= 1, as its A,B polynomial, in
     ``c_generators`` order, built once per (N, M, j); callers only read it."""
+    gens = c_generators(N, M, j)
     level = reduction_levels(N, M)[j]
-    return {g: level[(g[2], g[3])] for g in c_generators(N, M, j)}
+    return {g: level[(g[2], g[3])] for g in gens}
 
 
 def abstract_level(N: int, M: int, j: int) -> LevelData:

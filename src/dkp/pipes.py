@@ -50,7 +50,8 @@ over all ordered pairs at once,
     kappa route   P = H K H^T
     antisymmetry  P = -P^T
 
-Row i of P is one int whose signed 16-bit field j, at bit 16*j, is entry (i, j).
+Row i of P is one int whose signed 16-bit field j (``symalg._FIELD``), at
+bit 16*j, is entry (i, j).
 With hcol[t] column t of H packed so, row i of the kappa route is the sum
 over H_i of kcol[s] = sum_t kappa(s - t) hcol[t].  A closed diagram's R is
 its L one row down, so row i of the knee route is the sum over (n, m) in L_i
@@ -89,7 +90,7 @@ from typing import Iterator, Sequence
 
 from .curve import _curve_slots, slot_degree
 from .lattice import reduction_levels
-from .symalg import ExactPoly, Scalar, _signed_fields, _twos_complement
+from .symalg import ExactPoly, Scalar, _FIELD, _signed_fields, _twos_complement
 from .torus import SignFunction, _require_torus, build_kappa
 
 Site = tuple[int, int]
@@ -383,9 +384,6 @@ def product_key(d1: PipeDiagram, d2: PipeDiagram) -> tuple[tuple[Site, str], ...
     return tuple(sorted(d1.pieces + d2.pieces))
 
 
-_WIDTH = 16  # bits per packed pairing field (see the module docstring)
-
-
 def _code(d: PipeDiagram) -> int:
     """The product code of a diagram.  It leaves R out: a product's R row is
     its L row moved one row down, as each left-down knee feeds an up-right one."""
@@ -400,15 +398,15 @@ def _pairing_rows(
 ) -> Iterator[tuple[int, int, int]]:
     """Per diagram, in order: its packed row of ``(L - R) H^T``, its packed
     row of ``H K H^T`` and its packed column of ``(L - R) H^T`` over
-    `diagrams`, fields ``_WIDTH`` bits apart."""
+    `diagrams`, fields ``_FIELD`` bits apart."""
     N, M = kappa.N, kappa.M
     sites = [(n, m) for n in range(N) for m in range(M)]  # site n*M + m
 
     def columns(pieces: str) -> list[int]:
-        cols = [bytearray(_WIDTH // 8 * len(diagrams)) for _ in sites]
+        cols = [bytearray(_FIELD // 8 * len(diagrams)) for _ in sites]
         for j, d in enumerate(diagrams):
             for n, m in getattr(d, pieces):
-                cols[n * M + m][_WIDTH // 8 * j] = 1
+                cols[n * M + m][_FIELD // 8 * j] = 1
         return [int.from_bytes(c, "little") for c in cols]
 
     def gather(cols: list[int], at: frozenset[Site]) -> int:
@@ -440,7 +438,7 @@ class _PairingTable:
 
     def decode(self, row: int) -> memoryview:
         """The signed fields of a packed row, one per diagram."""
-        return _signed_fields(row, _WIDTH, len(self.codes))
+        return _signed_fields(row, len(self.codes))
 
 
 @lru_cache(maxsize=None)
@@ -449,17 +447,17 @@ def _pairing_table(kappa: SignFunction) -> _PairingTable:
     N, M = kappa.N, kappa.M
     # a knee entry is at most NM, a kappa entry at most (NM)^2 max|kappa|
     bound = N * M * max(1, N * M * max(abs(v) for row in kappa.values for v in row))
-    if bound >= 1 << _WIDTH - 1:
-        raise OverflowError(f"pairing bound {bound} does not fit a {_WIDTH}-bit field")
+    if bound >= 1 << _FIELD - 1:
+        raise OverflowError(f"pairing bound {bound} does not fit a {_FIELD}-bit field")
     diagrams = [d for ds in _tpds(N, M) for d in ds]
     count = len(diagrams)
     # One diagram's rows at a time; the kept rows are in two's complement, so a decode is a cast.
     knee: list[int] = []
     failing: dict[int, tuple[int, int]] = {}
     for i, (k, q, r) in enumerate(_pairing_rows(kappa, diagrams)):
-        knee.append(_twos_complement(k, _WIDTH, count))
+        knee.append(_twos_complement(k, count))
         if k != q or k != -r:
-            failing[i] = (_twos_complement(q, _WIDTH, count), _twos_complement(r, _WIDTH, count))
+            failing[i] = (_twos_complement(q, count), _twos_complement(r, count))
     starts = tuple(accumulate((len(ds) for ds in _tpds(N, M)), initial=0))
     codes = tuple(map(_code, diagrams))
     return _PairingTable(starts, codes, tuple(knee), failing)

@@ -26,25 +26,30 @@ dg/dx_b * {x_a, x_b} at the generator x_a, which the Casimir, ladder,
 Jacobi and compatibility suites and the ledger flows read directly.  Each
 table numbers its generators (the universe, then alpha and beta), and a
 monomial is one int in which exponent e of generator i contributes
-e << (i * 32), a signed 32-bit field, so a monomial product is one int
-addition (the packed exponent vectors of Monagan and Pearce, CASC 2007).
-A key is read back through ``symalg``'s packed-field codec.  Exponents
-must stay below 2**29 in magnitude (OverflowError otherwise, never a
-wrapped result), and a generator outside the table raises ValueError.
+e << (i * 16), a signed 16-bit field (``symalg._FIELD``, the one width of
+every packed int in ``dkp``), so a monomial product is one int addition
+(the packed exponent vectors of Monagan and Pearce, CASC 2007).  A key is
+read back through ``symalg``'s packed-field codec.  Exponents must stay
+below 2**13 in magnitude (OverflowError otherwise, never a wrapped result),
+and a generator outside the table raises ValueError.
 The full bracket {f, g} = sum_a df/dx_a * {x_a, g}, unpacked into an
 ``ExactPoly``, is ``bracket_extend`` in ``tests/poisson_oracle.py``, the
 case-by-case reference the packed suites are tested against.  ``pullback``
 takes a band polynomial to A, B exactly, by packed products in the same
-packing; ``closure_verify`` and the ledger flows read through it.
+packing, and raises OverflowError for a monomial whose product could pass
+the same bound; ``closure_verify`` and the ledger flows read through it.
 
 Each bracket table (``bracket2_AB``, ``bracket2_c`` per level j,
 ``bracket1_c``) is built once per (N, M, j) per process and shared by every
 suite.  Its one entry store, keyed by the generator-index pair (a, b), holds
 {x_a, x_b} as an ``ExactPoly`` and packed, and fills {x_b, x_a} with it.
-Its ledger store holds, per ledger degree d of the band curve, the packed
-gradient of q_d and each field {x_a, q_d} that a suite asked for; the
-ladder, involution and Casimir suites all read it, so no field is computed
-twice.  The suites stay packed: a packed bracket is zero when no
+Its ledger fields hold each field {x_a, q_d} that a suite asked for, for
+ledger degree d of the band curve.  The ledger store (``_ledger_store``) is
+kept once per universe, so both level-1 tables read one: it holds each q_d
+packed once, and its packed gradient from the same pass, for the fields and
+for the sigma premise alike.  The ladder, involution and Casimir suites all
+read these, so no field is computed and no ledger entry is packed twice.
+The suites stay packed: a packed bracket is zero when no
 coefficient is nonzero, equal to another when the two dicts agree after
 dropping zero coefficients.
 
@@ -85,6 +90,7 @@ from dkp.symalg import (
     ExactPoly,
     Gen,
     Scalar,
+    _FIELD,
     _bias,
     _signed_fields,
     _twos_complement,
@@ -99,9 +105,9 @@ from dkp.torus import _require_torus, build_kappa, build_phi, build_rho, build_z
 # fixed so the single-layer limit reproduces {A(n), B(n)}_1 = -B(n).
 BRACKET1_SIGN = -1
 
-# Packed monomials (see the module docstring): one signed field per generator.
-_FIELD = 32
-# Three exponents add up in one bracket term, so each stays below 2**29.
+# Packed monomials (see the module docstring): one signed ``symalg._FIELD``
+# per generator.  Three exponents add up in one bracket term, so each stays
+# below 2**13.
 _EXP_LIMIT = 1 << (_FIELD - 3)
 
 # A packed polynomial maps packed monomials to coefficients; a packed
@@ -121,7 +127,9 @@ class BracketTable:
     with everything.  One entry store, keyed by the generator-index pair,
     holds each entry as an ``ExactPoly`` and packed; the packed entry
     gradients, read by the Jacobi and compatibility suites only, are cached
-    apart, and so are the ledger gradients and fields (:meth:`_ledger_field`).
+    apart, and so are the ledger fields (:meth:`_ledger_field`).  The packed
+    ledger entries and their gradients are kept once per universe, for every
+    table over it (:meth:`_ledger`).
     """
 
     def __init__(
@@ -144,7 +152,6 @@ class BracketTable:
         self._order = sorted(range(len(gens)), key=gens.__getitem__)
         self._entries: dict[tuple[int, int], tuple[ExactPoly, Packed]] = {}
         self._entry_grads: dict[tuple[int, int], Gradient] = {}
-        self._ledger_grads: dict[int, Gradient] = {}
         self._ledger_fields: dict[tuple[int, int], Packed] = {}
         self._symmetric_cache: dict[bool, bool] = {}
         # sigma on generator indices, for a universe laid out block-major and
@@ -192,7 +199,7 @@ class BracketTable:
     def _mono(self, key: int) -> tuple:
         """Unpack a packed monomial into a sorted tuple of (generator, exponent)."""
         count = len(self._gens)
-        fields = _signed_fields(_twos_complement(key, _FIELD, count), _FIELD, count)
+        fields = _signed_fields(_twos_complement(key, count), count)
         return tuple((self._gens[i], fields[i]) for i in self._order if fields[i])
 
     def unpack(self, p: Packed) -> ExactPoly:
@@ -204,16 +211,22 @@ class BracketTable:
 
     def _gradient(self, p: ExactPoly) -> Gradient:
         """Packed dp/dx_a for every universe generator x_a that p contains."""
+        return self._packed_gradient(p)[1]
+
+    def _packed_gradient(self, p: ExactPoly) -> tuple[Packed, Gradient]:
+        """p packed, and its packed gradient, from one packing of each monomial."""
         unit, index = self._unit, self._index
+        packed: Packed = {}
         grad: Gradient = {}
         for mono, q in p.terms.items():
             key = self._key(mono)
+            packed[key] = q
             for gen, e in mono:
                 a = index.get(gen)
                 if a is not None:
                     # distinct monomials stay distinct after the same derivative
                     grad.setdefault(a, {})[key - unit[gen]] = q * e
-        return grad
+        return packed, grad
 
     def _entry_gradient(self, a: int, b: int) -> Gradient:
         """The packed gradient of {x_a, x_b}, computed once per table."""
@@ -242,20 +255,21 @@ class BracketTable:
         self._field_into(acc, dg, a)
         return _nonzero(acc)
 
-    def _ledger_gradient(self, d: int) -> Gradient:
-        """The packed gradient of ledger entry q_d of the torus's band curve,
-        computed once per table.  Only the level-1 c tables contain its
-        generators."""
-        grad = self._ledger_grads.get(d)
-        if grad is None:
-            grad = self._ledger_grads[d] = self._gradient(band_curve(self.N, self.M).q(d))
-        return grad
+    def _ledger(self, d: int) -> tuple[Packed, Gradient]:
+        """Ledger entry q_d of the torus's band curve, packed, and its packed
+        gradient, built once per universe (``_ledger_store``).  Only the
+        level-1 c tables contain its generators."""
+        store = _ledger_store(self.N, self.M, self.universe)
+        found = store.get(d)
+        if found is None:
+            found = store[d] = self._packed_gradient(band_curve(self.N, self.M).q(d))
+        return found
 
     def _ledger_field(self, d: int, a: int) -> Packed:
         """{x_a, q_d} without zero coefficients, computed once per table."""
         field = self._ledger_fields.get((d, a))
         if field is None:
-            field = self._ledger_fields[(d, a)] = self._field(self._ledger_gradient(d), a)
+            field = self._ledger_fields[(d, a)] = self._field(self._ledger(d)[1], a)
         return field
 
     # the site shift sigma
@@ -265,11 +279,11 @@ class BracketTable:
         and site-minor: in two's complement (``symalg``'s codec) each block's
         N fields move up one place, its last field to its first."""
         count, N = len(self._gens), self.N
-        bias = _bias(_FIELD, count)
+        bias = _bias(count)
         inner, last, fixed = self._sigma_masks
         out: Packed = {}
         for key, q in p.items():
-            w = _twos_complement(key, _FIELD, count)
+            w = _twos_complement(key, count)
             w = (w & fixed) | (w & inner) << _FIELD | (w & last) >> (_FIELD * (N - 1))
             out[(w ^ bias) - bias] = q
         return out
@@ -286,8 +300,7 @@ class BracketTable:
         if found is None:
             u, N, sigma = self.universe, self.N, self._sigma
             if ledger:
-                curve = band_curve(self.N, self.M)
-                qs = (self._pack(curve.q(d)) for d in curve.degrees())
+                qs = (self._ledger(d)[0] for d in band_curve(self.N, self.M).degrees())
                 found = self._symmetric() and all(self._shift(q) == q for q in qs)
             else:
                 found = len(u) % N == 0 and all(
@@ -299,6 +312,15 @@ class BracketTable:
                 )
             self._symmetric_cache[ledger] = found
         return found
+
+
+@lru_cache(maxsize=None)
+def _ledger_store(N: int, M: int, universe: tuple[Gen, ...]) -> dict[int, tuple[Packed, Gradient]]:
+    """Per ledger degree d, q_d packed and its packed gradient, in the packing
+    of every table over ``universe``: one store per universe, which
+    ``BracketTable._ledger`` fills."""
+    return {}
+
 
 def _mul_into(acc: Packed, p: Packed, q: Packed) -> None:
     """acc += p * q on packed polynomials (zero coefficients may remain)."""
@@ -355,9 +377,20 @@ def pullback(table: BracketTable, expansion: Mapping[Gen, ExactPoly]) -> Callabl
     c -> c(A, B) of the block row reduction.
     """
     packed = {g: table._pack(p) for g, p in expansion.items()}
+    # a product of expansions adds up at most e times each largest |exponent|
+    largest = {
+        g: max((abs(e) for mono in p.terms for _, e in mono), default=0)
+        for g, p in expansion.items()
+    }
     expanded: dict[tuple, Packed] = {}
 
     def expand(mono: tuple) -> Packed:
+        bound = sum(e * largest[gen] for gen, e in mono)
+        if bound >= _EXP_LIMIT:
+            raise OverflowError(
+                f"expanding {ExactPoly({mono: 1})} may give exponent {bound}, "
+                f"past the {_FIELD}-bit packed field"
+            )
         out: Packed = {0: 1}
         for gen, e in mono:
             for _ in range(e):
@@ -468,6 +501,7 @@ def induced_bracket_c(
 @lru_cache(maxsize=None)
 def bracket2_c(N: int, M: int, j: int) -> BracketTable:
     """Closed-form induced bracket as a table over level-j c-generators."""
+    _require_torus(N, M)
 
     def entry(g1: Gen, g2: Gen) -> ExactPoly:
         return induced_bracket_c(N, M, j, (g1[2], g1[3]), (g2[2], g2[3]))
@@ -574,6 +608,7 @@ def bracket1_c_pair(N: int, M: int, g1: tuple[int, int], g2: tuple[int, int]) ->
 @lru_cache(maxsize=None)
 def bracket1_c(N: int, M: int) -> BracketTable:
     """First bracket on the level-1 band variables, classically oriented."""
+    _require_torus(N, M)
 
     def entry(g1: Gen, g2: Gen) -> ExactPoly:
         return bracket1_c_pair(N, M, (g1[2], g1[3]), (g2[2], g2[3]))
@@ -749,7 +784,7 @@ def _involution_products(curve: SpectralCurve, t1: BracketTable, t2: BracketTabl
     for d1, d2 in itertools.combinations(degrees, 2):
         for table, bracket in ((t2, 2), (t1, 1)):
             acc: Packed = {}
-            for a, dfa in table._ledger_gradient(d1).items():
+            for a, dfa in table._ledger(d1)[1].items():
                 _mul_into(acc, dfa, fields[(table, d2, a)])
             if any(acc.values()):
                 failures.append({"pair_degrees": [d1, d2], "bracket": bracket})

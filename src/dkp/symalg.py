@@ -17,8 +17,8 @@ int), and monomials stay sorted (a product sorts its merge; the other
 operations drop or lower one factor of a sorted tuple).
 
 ``_twos_complement`` and ``_signed_fields`` are the codec of ints that pack
-signed fields of one width, field i at bit width*i: ``poisson``'s monomial
-keys and ``pipes``' pairing rows.
+signed 16-bit fields, field i at bit 16*i: ``poisson``'s monomial keys and
+``pipes``' pairing rows.  ``_FIELD`` is the one width of a packed field.
 """
 
 from __future__ import annotations
@@ -49,22 +49,26 @@ def gen_c(j: int, i: int, k: int) -> Gen:
     return ("c", j, i, k)
 
 
+# Bits per packed field; a field holds a signed int in [-2^15, 2^15).
+_FIELD = 16
+
+
 @lru_cache(maxsize=None)
-def _bias(width: int, count: int) -> int:
-    """2^(width-1) in each of `count` fields of `width` bits."""
-    return int.from_bytes((1 << width - 1).to_bytes(width // 8, "little") * count, "little")
+def _bias(count: int) -> int:
+    """2^(_FIELD-1) in each of `count` fields."""
+    return int.from_bytes((1 << _FIELD - 1).to_bytes(_FIELD // 8, "little") * count, "little")
 
 
-def _twos_complement(packed: int, width: int, count: int) -> int:
-    """The int that holds each f_i of ``packed = sum f_i 2^(width*i)`` in two's complement."""
-    # The bias lifts each field into [0, 2^width) with no carry; the xor flips it back.
-    bias = _bias(width, count)
+def _twos_complement(packed: int, count: int) -> int:
+    """The int that holds each f_i of ``packed = sum f_i 2^(_FIELD*i)`` in two's complement."""
+    # The bias lifts each field into [0, 2^_FIELD) with no carry; the xor flips it back.
+    bias = _bias(count)
     return (packed + bias) ^ bias
 
 
-def _signed_fields(word: int, width: int, count: int) -> memoryview:
+def _signed_fields(word: int, count: int) -> memoryview:
     """The `count` signed fields of a ``_twos_complement`` int, read in ``sys.byteorder``."""
-    return memoryview(word.to_bytes(width // 8 * count, sys.byteorder)).cast({16: "h", 32: "i"}[width])
+    return memoryview(word.to_bytes(_FIELD // 8 * count, sys.byteorder)).cast("h")
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:

@@ -48,9 +48,9 @@ def bracket_extend(table: BracketTable, f: ExactPoly, g: ExactPoly) -> ExactPoly
     bracket to zero).  Only the result is unpacked into an ``ExactPoly``.
 
     Raises ``ValueError`` for a generator outside the table and
-    ``OverflowError`` for an exponent of magnitude 2**29 or more in f, g or
+    ``OverflowError`` for an exponent of magnitude 2**13 or more in f, g or
     a table entry (three such exponents add up in one result monomial, and
-    the sum must stay inside the field).
+    the sum must stay inside the 16-bit field).
     """
     acc: Packed = {}
     df, dg = table._gradient(f), table._gradient(g)

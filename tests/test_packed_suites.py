@@ -117,15 +117,20 @@ def test_perturbed_bracket2_entry_fails_closure_on_that_pair(monkeypatch):
 # ------------------------------------------- planted faults against sigma
 
 
+def _clear_level1_caches() -> None:
+    """Drop the cached level-1 tables and the ledger stores they read."""
+    poisson.bracket1_c.cache_clear()
+    poisson.bracket2_c.cache_clear()
+    poisson._ledger_store.cache_clear()
+
+
 @pytest.fixture
 def fresh_tables():
     """Empty the table caches before and after: a test that swaps the band
     curve must not leave ledger stores filled from it behind."""
-    poisson.bracket1_c.cache_clear()
-    poisson.bracket2_c.cache_clear()
+    _clear_level1_caches()
     yield
-    poisson.bracket1_c.cache_clear()
-    poisson.bracket2_c.cache_clear()
+    _clear_level1_caches()
 
 
 def _swap_curve(monkeypatch, curve) -> None:
@@ -325,8 +330,7 @@ def _count_fields(monkeypatch) -> list[str]:
 
 def _fresh_level1_tables(N, M) -> tuple[BracketTable, BracketTable]:
     """New bracket1_c and bracket2_c tables, with empty ledger stores."""
-    poisson.bracket1_c.cache_clear()
-    poisson.bracket2_c.cache_clear()
+    _clear_level1_caches()
     return poisson.bracket1_c(N, M), poisson.bracket2_c(N, M, 1)
 
 

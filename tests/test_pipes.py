@@ -27,7 +27,7 @@ from dkp.pipes import (
     sum_zero_check,
     verify_pairing_consistency,
 )
-from dkp import pipes
+from dkp import pipes, symalg
 from dkp.poisson import bracket2_AB
 from dkp.symalg import ExactPoly, gen_A, gen_B
 from dkp.torus import build_kappa
@@ -596,7 +596,7 @@ def _bump_pairings(monkeypatch, bumped):
     original = pipes._pairing_rows
 
     def perturbed(kappa, diagrams):
-        width = pipes._WIDTH
+        width = symalg._FIELD
         at = [(diagrams.index(a), diagrams.index(b)) for a, b in bumped]
         for r, (knee, kappa_sum, reverse) in enumerate(original(kappa, diagrams)):
             for i, j in at:

@@ -19,6 +19,8 @@ from dkp.poisson import (
     c_generators,
     closure_verify,
     induced_bracket_c,
+    level_entries,
+    pullback,
     qlink_report,
     verify_casimir1,
     verify_casimir2,
@@ -226,15 +228,24 @@ def test_one_generator_fast_path_scales_entry():
 
 
 def test_largest_packed_exponent_is_exact():
-    # 2**29 - 1 on both sides: result exponents near 2**30 stay unwrapped.
+    # 2**13 - 1 on both sides: result exponents near 2**14 stay unwrapped.
     t = bracket2_AB(3, 2)
-    e = 2**29 - 1
+    e = 2**13 - 1
     f = ExactPoly.var(gen_A(0, 0), e) * ExactPoly.var(ALPHA, -e)
     g = ExactPoly.var(gen_B(0, 0), e) * ExactPoly.var(gen_A(1, 0))
     assert bracket_extend(t, f, g) == _bracket_by_definition(t, f, g)
 
 
-@pytest.mark.parametrize("gen,exp", [(gen_A(0, 0), 2**31), (ALPHA, -(2**31)), (gen_B(1, 1), 2**29)])
+@pytest.mark.parametrize(
+    "gen,exp",
+    [
+        (gen_A(0, 0), 2**31),
+        (ALPHA, -(2**31)),
+        (gen_B(1, 1), 2**29),
+        (gen_A(0, 0), 2**13),
+        (ALPHA, -(2**13)),
+    ],
+)
 def test_exponent_outside_field_raises(gen, exp):
     t = bracket2_AB(3, 2)
     f = ExactPoly.var(gen, exp) * ExactPoly.var(gen_A(1, 0))
@@ -242,6 +253,33 @@ def test_exponent_outside_field_raises(gen, exp):
         bracket_extend(t, f, ExactPoly.var(gen_B(0, 0)))
     with pytest.raises(OverflowError):
         bracket_extend(t, ExactPoly.var(gen_B(0, 0)), f)
+
+
+def test_pullback_refuses_a_product_past_the_field():
+    # each factor fits the field, but c_1(0)^2 would carry A(0,0)^8192
+    c = gen_c(1, 1, 0)
+    pull = pullback(bracket2_AB(3, 2), {c: ExactPoly.var(gen_A(0, 0), 4096)})
+    assert bracket2_AB(3, 2).unpack(pull(ExactPoly.var(c))) == ExactPoly.var(gen_A(0, 0), 4096)
+    for e in (2, 8):
+        with pytest.raises(OverflowError):
+            pull(ExactPoly.var(c, e))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: closure_verify(3, 2, 0),
+        lambda: closure_verify(3, 2, 3),
+        lambda: bracket2_c(3, 2, 0),
+        lambda: bracket2_c(3, 2, 5),
+        lambda: c_generators(3, 2, 0),
+        lambda: level_entries(3, 2, 3),
+    ],
+    ids=["closure-0", "closure-3", "bracket2_c-0", "bracket2_c-5", "c_generators-0", "level_entries-3"],
+)
+def test_level_outside_the_reduction_is_rejected(build):
+    with pytest.raises(ValueError, match="reduction level must satisfy 1 <= j <= M, got"):
+        build()
 
 
 def test_diagonal_entry_is_read_back_unchanged():

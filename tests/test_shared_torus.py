@@ -13,7 +13,7 @@ from dkp.curve import band_curve, compute_curve
 from dkp.flows import KPStateNumeric
 from dkp.lattice import reduction_levels
 from dkp.pipes import enumerate_tpds
-from dkp.poisson import bracket2_AB
+from dkp.poisson import bracket1_c, bracket2_AB, bracket2_c
 from dkp.torus import build_kappa
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dkp"
@@ -24,6 +24,8 @@ ENTRY_POINTS = {
     "curve.compute_curve": compute_curve,
     "curve.band_curve": band_curve,
     "poisson.bracket2_AB": bracket2_AB,
+    "poisson.bracket1_c": bracket1_c,
+    "poisson.bracket2_c": lambda N, M: bracket2_c(N, M, 1),
     "flows.KPStateNumeric.random": lambda N, M: KPStateNumeric.random(N, M, seed=0),
     "pipes.enumerate_tpds": lambda N, M: enumerate_tpds(N, M, 1),
     "cli.RunConfig": lambda N, M: RunConfig(command="check", N=N, M=M),
@@ -127,6 +129,31 @@ def test_only_symalg_calls_memoryview():
         and node.func.id == "memoryview"
     ]
     assert callers == ["symalg"]
+
+
+def test_one_packed_field_width():
+    # symalg defines the width; another module may only import symalg's
+    bindings = []
+    for name, tree in _modules().items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] != "symalg":
+                targets = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            bindings += [f"{name}.{t}" for t in targets if t.isupper() and ("FIELD" in t or "WIDTH" in t)]
+    assert bindings == ["symalg._FIELD"]
+    codec = {
+        node.name: [arg.arg for arg in node.args.args]
+        for node in _modules()["symalg"].body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert codec["_bias"] == ["count"]
+    assert codec["_twos_complement"] == ["packed", "count"]
+    assert codec["_signed_fields"] == ["word", "count"]
 
 
 def test_numpy_is_imported_only_by_flow_rhs():

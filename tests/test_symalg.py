@@ -258,18 +258,11 @@ def test_evaluate_respects_substitute(p):
     assert subbed.constant_value() == direct
 
 
-def _packed_fields(width: int) -> st.SearchStrategy[tuple[int, list[int]]]:
-    half = 1 << (width - 1)
-    return st.lists(st.integers(-half, half - 1), min_size=1).map(lambda fs: (width, fs))
-
-
-@given(st.sampled_from([16, 32]).flatmap(_packed_fields))
-@example((16, [-(1 << 15), (1 << 15) - 1, 0, -1]))
-@example((32, [(1 << 31) - 1, -(1 << 31)]))
-@example((16, [-(1 << 15)]))
-def test_packed_fields_round_trip(case):
+@given(st.lists(st.integers(-(1 << 15), (1 << 15) - 1), min_size=1))
+@example([-(1 << 15), (1 << 15) - 1, 0, -1])
+@example([-(1 << 15)])
+def test_packed_fields_round_trip(fields):
     # the codec poisson's monomial keys and pipes' pairing rows are read through
-    width, fields = case
-    packed = sum(f << (width * i) for i, f in enumerate(fields))
-    word = _twos_complement(packed, width, len(fields))
-    assert list(_signed_fields(word, width, len(fields))) == fields
+    packed = sum(f << (16 * i) for i, f in enumerate(fields))
+    word = _twos_complement(packed, len(fields))
+    assert list(_signed_fields(word, len(fields))) == fields
