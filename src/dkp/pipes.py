@@ -57,6 +57,11 @@ over H_i of kcol[s] = sum_t kappa(s - t) hcol[t].  A closed diagram's R is
 its L one row down, so row i of the knee route is the sum over (n, m) in L_i
 of hcol[nM+m] - hcol[nM+(m-1)%M], and column i the sum over H_i of
 lcol[nM+m] - lcol[nM+(m+1)%M]; each check on a row is one int equality.
+No row is stored: the columns are packed once per degree, with its product
+codes, and once over all degrees (``_columns``), and both checks stream
+their rows from them (``_pairing_rows``).  The pairing check decodes only a
+failing row, and a sum-zero block (d1, d2) gathers the rows of degree d1
+against the columns of degree d2, so it holds one block of rows.
 The 16-bit field holds the exact bound (NM)^2 max|kappa| on every torus with
 NM <= 181, far past any torus the enumeration reaches; a larger bound raises
 OverflowError, so no value is ever wrapped.  A pair's product is keyed by
@@ -85,7 +90,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, compress
+from itertools import compress
 from typing import Iterator, Sequence
 
 from .curve import _curve_slots, slot_degree
@@ -393,13 +398,24 @@ def _code(d: PipeDiagram) -> int:
     )
 
 
-def _pairing_rows(
-    kappa: SignFunction, diagrams: Sequence[PipeDiagram]
-) -> Iterator[tuple[int, int, int]]:
-    """Per diagram, in order: its packed row of ``(L - R) H^T``, its packed
-    row of ``H K H^T`` and its packed column of ``(L - R) H^T`` over
-    `diagrams`, fields ``_FIELD`` bits apart."""
+def _diagrams(N: int, M: int, degree: int | None) -> Sequence[PipeDiagram]:
+    """The diagrams of one degree, or of every degree when `degree` is None."""
+    tpds = _tpds(N, M)
+    return [d for ds in tpds for d in ds] if degree is None else tpds[degree]
+
+
+@lru_cache(maxsize=None)
+def _columns(kappa: SignFunction, degree: int | None) -> tuple[tuple[int, ...], ...]:
+    """The product codes of the diagrams of `degree` (of every degree when
+    None), and the columns over them that pairing rows gather, per site
+    s = n*M + m: ``hcol[s] - hcol[s below]``, ``kcol[s]`` and
+    ``lcol[s] - lcol[s above]``, fields ``_FIELD`` bits apart."""
     N, M = kappa.N, kappa.M
+    # a knee entry is at most NM, a kappa entry at most (NM)^2 max|kappa|
+    bound = N * M * max(1, N * M * max(abs(v) for row in kappa.values for v in row))
+    if bound >= 1 << _FIELD - 1:
+        raise OverflowError(f"pairing bound {bound} does not fit a {_FIELD}-bit field")
+    diagrams = _diagrams(N, M, degree)
     sites = [(n, m) for n in range(N) for m in range(M)]  # site n*M + m
 
     def columns(pieces: str) -> list[int]:
@@ -409,85 +425,65 @@ def _pairing_rows(
                 cols[n * M + m][_FIELD // 8 * j] = 1
         return [int.from_bytes(c, "little") for c in cols]
 
-    def gather(cols: list[int], at: frozenset[Site]) -> int:
-        return sum(cols[n * M + m] for n, m in at)
-
     hcol, lcol = columns("horizontal"), columns("left_down")
-    kcol = [sum(kappa(n - p, m - q) * h for (p, q), h in zip(sites, hcol)) for n, m in sites]
-    knee_rows = [hcol[n * M + m] - hcol[n * M + (m - 1) % M] for n, m in sites]
-    knee_cols = [lcol[n * M + m] - lcol[n * M + (m + 1) % M] for n, m in sites]
-    for d in diagrams:
+    return (
+        tuple(map(_code, diagrams)),
+        tuple(hcol[n * M + m] - hcol[n * M + (m - 1) % M] for n, m in sites),
+        tuple(sum(kappa(n - p, m - q) * h for (p, q), h in zip(sites, hcol)) for n, m in sites),
+        tuple(lcol[n * M + m] - lcol[n * M + (m + 1) % M] for n, m in sites),
+    )
+
+
+def _pairing_rows(
+    kappa: SignFunction, degree1: int | None, degree2: int | None
+) -> Iterator[tuple[int, int, int]]:
+    """Per diagram of `degree1`, in order: its packed row of ``(L - R) H^T``,
+    its packed row of ``H K H^T`` and its packed column of ``(L - R) H^T``
+    over the diagrams of `degree2`; None stands for every degree."""
+    M = kappa.M
+    site = {(n, m): n * M + m for n in range(kappa.N) for m in range(M)}.__getitem__
+    _, knee_rows, kappa_rows, knee_cols = _columns(kappa, degree2)
+    for d in _diagrams(kappa.N, M, degree1):
+        h = list(map(site, d.horizontal))
         yield (
-            gather(knee_rows, d.left_down),
-            gather(kcol, d.horizontal),
-            gather(knee_cols, d.horizontal),
+            sum(map(knee_rows.__getitem__, map(site, d.left_down))),
+            sum(map(kappa_rows.__getitem__, h)),
+            sum(map(knee_cols.__getitem__, h)),
         )
 
 
-@dataclass(frozen=True)
-class _PairingTable:
-    """One packed knee row per diagram, fields in 16-bit two's complement;
-    degree d has diagrams ``starts[d]`` to ``starts[d + 1] - 1``.  ``failing``
-    maps each row failing the kappa route or antisymmetry to its kappa row
-    and knee column, packed the same way."""
-
-    starts: tuple[int, ...]
-    codes: tuple[int, ...]
-    knee: tuple[int, ...]
-    failing: dict[int, tuple[int, int]]
-
-    def decode(self, row: int) -> memoryview:
-        """The signed fields of a packed row, one per diagram."""
-        return _signed_fields(row, len(self.codes))
-
-
-@lru_cache(maxsize=None)
-def _pairing_table(kappa: SignFunction) -> _PairingTable:
-    """The pairing table of kappa's torus, built once per kappa table."""
-    N, M = kappa.N, kappa.M
-    # a knee entry is at most NM, a kappa entry at most (NM)^2 max|kappa|
-    bound = N * M * max(1, N * M * max(abs(v) for row in kappa.values for v in row))
-    if bound >= 1 << _FIELD - 1:
-        raise OverflowError(f"pairing bound {bound} does not fit a {_FIELD}-bit field")
-    diagrams = [d for ds in _tpds(N, M) for d in ds]
-    count = len(diagrams)
-    # One diagram's rows at a time; the kept rows are in two's complement, so a decode is a cast.
-    knee: list[int] = []
-    failing: dict[int, tuple[int, int]] = {}
-    for i, (k, q, r) in enumerate(_pairing_rows(kappa, diagrams)):
-        knee.append(_twos_complement(k, count))
-        if k != q or k != -r:
-            failing[i] = (_twos_complement(q, count), _twos_complement(r, count))
-    starts = tuple(accumulate((len(ds) for ds in _tpds(N, M)), initial=0))
-    codes = tuple(map(_code, diagrams))
-    return _PairingTable(starts, codes, tuple(knee), failing)
+def _decode(row: int, count: int) -> memoryview:
+    """The `count` signed fields of a packed row."""
+    return _signed_fields(_twos_complement(row, count), count)
 
 
 def verify_pairing_consistency(N: int, M: int) -> dict:
     """Cross-check both pairing formulas and antisymmetry on all diagram pairs."""
     _require_torus(N, M)
-    diagrams = [d for deg in range(N * M + 1) for d in enumerate_tpds(N, M, deg)]
-    table = _pairing_table(build_kappa(N, M))
+    diagrams = _diagrams(N, M, None)
+    count = len(diagrams)
     failures = []
-    for i, (kappa_row, reverse_col) in sorted(table.failing.items()):
-        knee = table.decode(table.knee[i])
-        kappa_sum, reverse = table.decode(kappa_row), table.decode(reverse_col)
+    rows = _pairing_rows(build_kappa(N, M), None, None)
+    for d1, (knee, kappa_sum, reverse) in zip(diagrams, rows):
+        if knee == kappa_sum == -reverse:
+            continue
+        knee, kappa_sum, reverse = (_decode(row, count) for row in (knee, kappa_sum, reverse))
         failures += [
             {
-                "d1": diagrams[i].site_map(),
-                "d2": diagrams[j].site_map(),
+                "d1": d1.site_map(),
+                "d2": d2.site_map(),
                 "knee": k,
                 "kappa_sum": kappa_sum[j],
                 "reverse": reverse[j],
             }
-            for j, k in enumerate(knee)
+            for j, (d2, k) in enumerate(zip(diagrams, knee))
             if k != kappa_sum[j] or k != -reverse[j]
         ]
     return {
         "N": N,
         "M": M,
-        "diagrams": len(diagrams),
-        "pairs": len(diagrams) ** 2,
+        "diagrams": count,
+        "pairs": count**2,
         "failures": failures,
         "ok": not failures,
     }
@@ -506,16 +502,15 @@ def sum_zero_check(N: int, M: int, degree1: int, degree2: int) -> dict:
     if not report["pairs"]:  # a degree without diagrams: no pair, no group
         empty = {"groups": 0, "max_group_size": 0, "nonzero_pairings": 0, "nonzero_groups": []}
         return {**report, **empty, "ok": True}
-    table = _pairing_table(build_kappa(N, M))
-    lo1, lo2 = table.starts[degree1], table.starts[degree2]
-    hi1, hi2 = lo1 + len(diags1), lo2 + len(diags2)
-    rows = [table.decode(table.knee[i])[lo2:hi2] for i in range(lo1, hi1)]
-    for i in sorted(table.failing.keys() & range(lo1, hi1)):
-        kappa_sum = table.decode(table.failing[i][0])[lo2:hi2]
-        for k, q in zip(rows[i - lo1], kappa_sum):
-            if k != q:
-                raise RuntimeError(f"pairing routes disagree: knee count {k}, kappa sum {q}")
-    codes1, codes2 = table.codes[lo1:hi1], table.codes[lo2:hi2]
+    kappa = build_kappa(N, M)
+    codes1, codes2 = _columns(kappa, degree1)[0], _columns(kappa, degree2)[0]
+    rows = []  # the block's knee rows, decoded
+    for knee, kappa_sum, _ in _pairing_rows(kappa, degree1, degree2):
+        rows.append(_decode(knee, len(diags2)))
+        if knee != kappa_sum:
+            for k, q in zip(rows[-1], _decode(kappa_sum, len(diags2))):
+                if k != q:
+                    raise RuntimeError(f"pairing routes disagree: knee count {k}, kappa sum {q}")
     sizes: Counter[int] = Counter()
     totals: defaultdict[int, int] = defaultdict(int)  # over the nonzero pairings only
     nonzero = 0

@@ -59,8 +59,9 @@ generator pair or triple exactly when it holds at the shifted one.  Each
 table checks once, exactly, that sigma is its symmetry
 (``BracketTable._symmetric``): its universe is laid out block-major and
 site-minor, so sigma relabels packed keys within blocks, and
-{sigma x_a, sigma x_b} = sigma {x_a, x_b} on all G^2 entries; the level-1
-tables also check sigma q_d = q_d for every ledger degree, and
+{sigma x_a, sigma x_b} = sigma {x_a, x_b} on all G^2 entries; the first
+level-1 table to ask also checks sigma q_d = q_d for every ledger degree,
+and keeps the answer in the ledger store of its universe, and
 ``closure_verify`` checks c(sigma x) = sigma c(x) on every expansion.
 Where the premises hold, each suite loops over the site-0 "first"
 generators only: the orbit member whose smallest index sits in the first
@@ -294,14 +295,18 @@ class BracketTable:
         The universe must be laid out block-major and site-minor (entry
         b*N + k is sigma^k of entry b*N), and {sigma x_a, sigma x_b} =
         sigma {x_a, x_b} must hold on all G^2 entries; with ``ledger``, also
-        sigma q_d = q_d for every ledger degree d of the band curve.
+        sigma q_d = q_d for every ledger degree d of the band curve, which is
+        checked once per universe and kept in its ledger store.
         """
         found = self._symmetric_cache.get(ledger)
         if found is None:
             u, N, sigma = self.universe, self.N, self._sigma
             if ledger:
-                qs = (self._ledger(d)[0] for d in band_curve(self.N, self.M).degrees())
-                found = self._symmetric() and all(self._shift(q) == q for q in qs)
+                store = _ledger_store(self.N, self.M, u)
+                if store.sigma is None and self._symmetric():
+                    qs = (self._ledger(d)[0] for d in band_curve(self.N, self.M).degrees())
+                    store.sigma = all(self._shift(q) == q for q in qs)
+                found = self._symmetric() and store.sigma
             else:
                 found = len(u) % N == 0 and all(
                     u[sigma[a]] == _site_shift(g, N) for a, g in enumerate(u)
@@ -314,12 +319,18 @@ class BracketTable:
         return found
 
 
-@lru_cache(maxsize=None)
-def _ledger_store(N: int, M: int, universe: tuple[Gen, ...]) -> dict[int, tuple[Packed, Gradient]]:
+class _LedgerStore(dict[int, tuple[Packed, Gradient]]):
     """Per ledger degree d, q_d packed and its packed gradient, in the packing
-    of every table over ``universe``: one store per universe, which
-    ``BracketTable._ledger`` fills."""
-    return {}
+    of every table over one universe, which ``BracketTable._ledger`` fills;
+    ``sigma`` is whether sigma q_d = q_d for every d, once a table has checked."""
+
+    sigma: bool | None = None
+
+
+@lru_cache(maxsize=None)
+def _ledger_store(N: int, M: int, universe: tuple[Gen, ...]) -> _LedgerStore:
+    """The ledger store of ``universe``: one per universe."""
+    return _LedgerStore()
 
 
 def _mul_into(acc: Packed, p: Packed, q: Packed) -> None:
@@ -525,12 +536,11 @@ def closure_verify(N: int, M: int, j: int = 1) -> dict:
     table = bracket2_AB(N, M)
     closed_form = bracket2_c(N, M, j)
     gens = c_generators(N, M, j)
-    grads = [table._gradient(expansion[g]) for g in gens]
+    packed, grads = zip(*(table._packed_gradient(expansion[g]) for g in gens))
     fields: dict[tuple[int, int], Packed] = {}  # (b, x) -> {x, c_b}
     substitute = pullback(table, expansion)
     firsts = _firsts((closed_form, table))
     if firsts.step > 1:
-        packed = [table._pack(expansion[g]) for g in gens]
         sigma = closed_form._sigma
         if any(packed[sigma[a]] != table._shift(p) for a, p in enumerate(packed)):
             firsts = range(len(gens))

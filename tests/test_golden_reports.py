@@ -4,9 +4,9 @@
 Each digest is the SHA-256 of the report with its top-level ``seed`` line
 removed (the rule of ``perfbench/gate.py``).  ``check`` on (4, 3), (5, 3),
 (4, 5), (5, 4) and (7, 3) is not a benchmark run, and neither is ``pipes`` on
-(5, 2); ``pipes`` on
-(5, 3) and (7, 2) are the benchmark's ``pipes`` runs, pinned here too so a
-byte change there fails tier-1 before it reaches the benchmark gate.
+(5, 2) or (5, 4); ``pipes`` on (5, 3) and (7, 2) are the benchmark's
+``pipes`` runs, pinned here too so a byte change there fails tier-1 before it
+reaches the benchmark gate.
 """
 
 import hashlib
@@ -44,6 +44,8 @@ GOLDEN_PIPES = {
     (4, 3): "5d2997f3b531fc8710f6131eb64207171b9d8a5158f0af65df99a74a11e71b16",
     (5, 3): "5b8f25f41cd47d079364dad61b3fa83d30131dcf0b1d5918c5e9f09ca0fa2576",
     (7, 2): "83c254ca5f765bf68a4316066c24baa7c6ca6590021d34f295e37a96c95858de",
+    # recorded from the whole-torus pairing table, at the size where it held 5.3 MB
+    (5, 4): "96323d65c3444d35485834412b08cff2637a788a617caea5e5f299196a521646",
 }
 
 # The spectral report bytes, as in perfbench/digests.json.

@@ -209,6 +209,20 @@ def test_ledger_coefficient_perturbed_at_one_site_breaks_invariance(monkeypatch,
         _agree(got, want, keys)
 
 
+def test_ledger_invariance_is_checked_once_per_universe(monkeypatch, fresh_tables):
+    # both level-1 tables share one universe and its ledger store: the first
+    # table's sigma q_d = q_d answer is kept there, so the second shifts no
+    # ledger entry, and checks only its own G^2 premise
+    t1, t2 = poisson.bracket1_c(5, 2), poisson.bracket2_c(5, 2, 1)
+    assert t1.universe == t2.universe
+    assert t1._symmetric(ledger=True) and t2._symmetric()
+    shifted = []
+    shift = BracketTable._shift
+    monkeypatch.setattr(BracketTable, "_shift", lambda self, p: shifted.append(p) or shift(self, p))
+    assert t2._symmetric(ledger=True)
+    assert shifted == []
+
+
 def test_expansion_perturbed_at_one_site_fails_closure_on_that_pair(monkeypatch):
     # c_2(2) + 1 at level 2 of (3,2) breaks the closed form on one pair only,
     # and that pair's first generator sits at site 1: only the check of

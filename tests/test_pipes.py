@@ -584,10 +584,10 @@ def _flip_one_kappa(monkeypatch, N, M):
 
 @pytest.fixture
 def fresh_tables():
-    """Build every pairing table afresh, and drop the ones this test built."""
-    pipes._pairing_table.cache_clear()
+    """Build every pairing column set afresh, and drop the ones this test built."""
+    pipes._columns.cache_clear()
     yield
-    pipes._pairing_table.cache_clear()
+    pipes._columns.cache_clear()
 
 
 def _bump_pairings(monkeypatch, bumped):
@@ -595,16 +595,17 @@ def _bump_pairings(monkeypatch, bumped):
     one higher, as if both matrices had that entry raised."""
     original = pipes._pairing_rows
 
-    def perturbed(kappa, diagrams):
+    def perturbed(kappa, degree1, degree2):
         width = symalg._FIELD
-        at = [(diagrams.index(a), diagrams.index(b)) for a, b in bumped]
-        for r, (knee, kappa_sum, reverse) in enumerate(original(kappa, diagrams)):
-            for i, j in at:
-                if r == i:
-                    knee += 1 << width * j
-                    kappa_sum += 1 << width * j
-                if r == j:
-                    reverse += 1 << width * i  # column j of the knee route
+        firsts, seconds = (pipes._diagrams(kappa.N, kappa.M, d) for d in (degree1, degree2))
+        rows = zip(firsts, original(kappa, degree1, degree2))
+        for first, (knee, kappa_sum, reverse) in rows:
+            for a, b in bumped:
+                if first == a and b in seconds:
+                    knee += 1 << width * seconds.index(b)
+                    kappa_sum += 1 << width * seconds.index(b)
+                if first == b and a in seconds:
+                    reverse += 1 << width * seconds.index(a)  # column b of the knee route
             yield knee, kappa_sum, reverse
 
     monkeypatch.setattr(pipes, "_pairing_rows", perturbed)
@@ -651,46 +652,42 @@ class TestMatrixFormOracle:
                 assert decomposition_partners(a, b) == reference_partners(a, b)
                 assert decomposition_partners(b, a) == reference_partners(b, a)
 
-    def test_sum_zero_builds_each_count_matrix_once(self, monkeypatch, fresh_tables):
-        # one pairing table per torus, shared by every block and the pairing check
-        built = []
-        pairing_rows = pipes._pairing_rows
-
-        def counting(kappa, diagrams):
-            built.append(len(diagrams))
-            return pairing_rows(kappa, diagrams)
-
-        monkeypatch.setattr(pipes, "_pairing_rows", counting)
+    def test_sum_zero_builds_each_count_matrix_once(self, fresh_tables):
+        # one column set per degree with diagrams, shared by every block that
+        # reads it, and one whole-torus set for the pairing check
         sum_zero_check(3, 2, 5, 5)  # degree 5 has no diagram and builds nothing
-        assert built == []
+        sum_zero_check(3, 2, 1, 5)
+        assert pipes._columns.cache_info().misses == 0
         for d1 in range(7):
             for d2 in range(d1, 7):
                 sum_zero_check(3, 2, d1, d2)
         verify_pairing_consistency(3, 2)
-        assert built == [17]
+        verify_pairing_consistency(3, 2)
+        with_diagrams = [d for d in range(7) if enumerate_tpds(3, 2, d)]
+        assert with_diagrams == [0, 1, 2, 3, 4, 6]
+        assert pipes._columns.cache_info().misses == len(with_diagrams) + 1
 
     def test_decoded_rows_match_pairing_routes(self):
-        table = pipes._pairing_table(build_kappa(4, 3))
-        assert table.failing == {}
         diagrams = enumerate_tpds(4, 3, 5)
-        lo = table.starts[5]
-        for i, a in enumerate(diagrams):
-            row = table.decode(table.knee[lo + i])[lo : lo + len(diagrams)]
+        rows = pipes._pairing_rows(build_kappa(4, 3), 5, 5)
+        for a, (knee, kappa_sum, reverse) in zip(diagrams, rows, strict=True):
+            assert knee == kappa_sum == -reverse
+            row = pipes._decode(knee, len(diagrams))
             assert [(k, k) for k in row] == [pairing_routes(a, b) for b in diagrams]
 
-    def test_table_build_peaks_below_twice_its_rows(self, fresh_tables):
-        # the build holds one diagram's rows at a time beyond the rows it
-        # keeps: on (5,4) a 5.3 MB peak for 4.9 MB of kept rows
+    def test_pairing_check_peaks_below_thrice_its_columns(self, fresh_tables):
+        # rows are streamed and never kept: on (5,4) a 0.43 MB peak for
+        # 0.2 MB of packed columns, where a whole-torus table held 5.3 MB
         kappa = build_kappa(5, 4)
         enumerate_tpds(5, 4, 0)  # every diagram, enumerated before tracing
         tracemalloc.start()
         try:
-            table = pipes._pairing_table(kappa)
+            verify_pairing_consistency(5, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = [*table.knee, *(row for rows in table.failing.values() for row in rows)]
-        assert peak < 2 * sum(map(sys.getsizeof, kept))
+        columns = [col for cols in pipes._columns(kappa, None)[1:] for col in cols]
+        assert peak < 3 * sum(map(sys.getsizeof, columns))
 
     def test_bound_outside_every_field_raises(self, monkeypatch):
         # (NM)^2 max|kappa| = 36 * 2^60 needs more than the 16-bit field: refused, never wrapped
